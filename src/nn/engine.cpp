@@ -89,54 +89,19 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   weights_.resize(static_cast<std::size_t>(n));
   biases_.resize(static_cast<std::size_t>(n));
   activations_.resize(static_cast<std::size_t>(n));
-  packed_.resize(static_cast<std::size_t>(n));
-  pack_dirty_.assign(static_cast<std::size_t>(n), 0);
-  sparse_packed_.resize(static_cast<std::size_t>(n));
-  half_packed_.resize(static_cast<std::size_t>(n));
-  wino_panels_.resize(static_cast<std::size_t>(n));
-  pack_crc_.assign(static_cast<std::size_t>(n), 0);
-  sparse_crc_.assign(static_cast<std::size_t>(n), 0);
-  half_crc_.assign(static_cast<std::size_t>(n), 0);
+  panels_.resize(static_cast<std::size_t>(n));
   plan_.nodes.assign(static_cast<std::size_t>(n), ConvPlan{});
   plan_scratch_.assign(static_cast<std::size_t>(n), ConvPlan{});
 
   for (int i = 0; i < n; ++i) {
-    const Node& nd = graph_.node(i);
-    if (graph_.node_params(i) == 0) continue;
-    const FeatShape in0 = graph_.shape(nd.inputs[0]);
+    const Shape ws = graph_.weight_shape(i);
+    if (ws.numel() == 0) continue;
+    // He fan-in: the weights feeding one output channel.
+    const int out_c = graph_.shape(i).c;
     Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
-
-    switch (nd.kind) {
-      case OpKind::kConv: {
-        const int fan_in = in0.c * nd.kernel * nd.kernel;
-        weights_[i] = Tensor({nd.out_c, in0.c, nd.kernel, nd.kernel});
-        weights_[i].init_he(rng, fan_in);
-        biases_[i] = Tensor({1, nd.out_c, 1, 1});
-        break;
-      }
-      case OpKind::kDwConv: {
-        weights_[i] = Tensor({in0.c, 1, nd.kernel, nd.kernel});
-        weights_[i].init_he(rng, nd.kernel * nd.kernel);
-        biases_[i] = Tensor({1, in0.c, 1, 1});
-        break;
-      }
-      case OpKind::kDeconv: {
-        weights_[i] = Tensor({in0.c, nd.out_c, 4, 4});
-        weights_[i].init_he(rng, in0.c * 16);
-        biases_[i] = Tensor({1, nd.out_c, 1, 1});
-        break;
-      }
-      case OpKind::kLinear: {
-        const auto in_features = in0.numel();
-        weights_[i] = Tensor(
-            {nd.out_c, static_cast<int>(in_features), 1, 1});
-        weights_[i].init_he(rng, static_cast<int>(in_features));
-        biases_[i] = Tensor({1, nd.out_c, 1, 1});
-        break;
-      }
-      default:
-        break;
-    }
+    weights_[i] = Tensor(ws);
+    weights_[i].init_he(rng, static_cast<int>(ws.numel()) / out_c);
+    biases_[i] = Tensor({1, out_c, 1, 1});
   }
 
   // Load-time plan: pre-size every activation (pointers stay stable for
@@ -180,14 +145,12 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
 }
 
 void Engine::resize_output_slots() {
-  const std::vector<int>& outs = graph_.outputs();
-  outputs_.clear();
-  outputs_.reserve(outs.size());
-  for (int node : outs) {
+  std::vector<Tensor> row;
+  for (int node : graph_.outputs()) {
     const FeatShape s = graph_.shape(node);
-    outputs_.push_back(Tensor({1, s.c, s.h, s.w}));
+    row.push_back(Tensor({1, s.c, s.h, s.w}));
   }
-  batch_outputs_.assign(static_cast<std::size_t>(max_batch_), outputs_);
+  batch_outputs_.assign(static_cast<std::size_t>(max_batch_), row);
 }
 
 void Engine::materialize_outputs(int image, std::vector<Tensor>& dst) const {
@@ -348,12 +311,10 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   // Invalidate compressed panels the new configuration re-derives, then
   // (lazily) build whatever the plan's storage choices need. Nodes the
   // plan keeps dense keep their empty slots.
-  if (sparsity_changed)
-    for (PackedSparseA& sp : sparse_packed_) sp = PackedSparseA{};
-  if (format_changed) {
-    for (PackedHalfA& hp : half_packed_) hp = PackedHalfA{};
-    for (PackedSparseA& sp : sparse_packed_)
-      if (sp.half()) sp = PackedSparseA{};
+  for (NodeWeights& w : panels_) {
+    if (sparsity_changed || (format_changed && w.sparse.half()))
+      w.sparse = PackedSparseA{};
+    if (format_changed) w.half = PackedHalfA{};
   }
   sparsity_ = request.sparsity;
   half_format_ = request.half_format;
@@ -368,7 +329,7 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   for (int i = 0; i < n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     if (plan_.nodes[ui].algo != ConvAlgo::kWinograd) continue;
-    if (wino_panels_[ui].empty()) pack_winograd(i);
+    if (panels_[ui].wino.empty()) pack_winograd(i);
     const Node& nd = graph_.node(i);
     const FeatShape s = graph_.shape(nd.inputs[0]);
     const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride,
@@ -475,16 +436,17 @@ Engine::PlanVerifyHook Engine::plan_verify_hook() noexcept {
 
 Engine::PanelState Engine::panel_state(int node) const {
   const std::size_t i = static_cast<std::size_t>(node);
-  OCB_CHECK_MSG(i < packed_.size(), "panel_state: node out of range");
+  OCB_CHECK_MSG(i < panels_.size(), "panel_state: node out of range");
+  const NodeWeights& w = panels_[i];
   PanelState st;
-  st.dense = !packed_[i].empty();
-  st.sparse = !sparse_packed_[i].empty();
-  st.sparse_half = st.sparse && sparse_packed_[i].half();
-  st.half = !half_packed_[i].empty();
-  st.winograd = !wino_panels_[i].empty();
-  st.dense_crc = pack_crc_[i];
-  st.sparse_crc = sparse_crc_[i];
-  st.half_crc = half_crc_[i];
+  st.dense = !w.dense.empty();
+  st.sparse = !w.sparse.empty();
+  st.sparse_half = st.sparse && w.sparse.half();
+  st.half = !w.half.empty();
+  st.winograd = !w.wino.empty();
+  st.dense_crc = w.dense_crc;
+  st.sparse_crc = w.sparse_crc;
+  st.half_crc = w.half_crc;
   return st;
 }
 
@@ -562,13 +524,16 @@ void Engine::repack(int node) {
   const std::size_t i = static_cast<std::size_t>(node);
   const Node& nd = graph_.node(node);
   const FeatShape in0 = graph_.shape(nd.inputs[0]);
+  NodeWeights& w = panels_[i];
+  const float* master = weights_[i].data();
   if (nd.kind == OpKind::kConv) {
-    packed_[i].pack(weights_[i].data(), static_cast<std::size_t>(nd.out_c),
-                    static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel);
+    w.dense.pack(master, static_cast<std::size_t>(nd.out_c),
+                 static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel);
   } else if (nd.kind == OpKind::kLinear) {
-    packed_[i].pack(weights_[i].data(), static_cast<std::size_t>(nd.out_c),
-                    in0.numel());
+    w.dense.pack(master, static_cast<std::size_t>(nd.out_c), in0.numel());
   }
+  const std::size_t m = w.dense.rows();
+  const std::size_t k = w.dense.cols();
   // Mutated weights invalidate the int8 panels too; requantize against
   // the existing calibration (activation ranges are weight-independent).
   if (i < qlayers_.size() && qlayers_[i].valid()) {
@@ -576,62 +541,56 @@ void Engine::repack(int node) {
     const TensorQuant out_q = qlayers_[i].out_q;
     const EpiAct act = qlayers_[i].act;
     const bool emit = qlayers_[i].emit_u8;
-    const float* wq =
-        masked_for_quant(weights_[i].data(), packed_[i].rows(),
-                         packed_[i].cols(), sparsity_, masked_scratch_);
-    qlayers_[i] = quantize_layer(wq, packed_[i].rows(), packed_[i].cols(),
-                                 in_q, out_q, act);
+    const float* wq = masked_for_quant(master, m, k, sparsity_,
+                                       masked_scratch_);
+    qlayers_[i] = quantize_layer(wq, m, k, in_q, out_q, act);
     qlayers_[i].emit_u8 = emit;
   }
   // Winograd-planned nodes carry a transformed copy of the weights;
   // refresh it alongside the straight panels.
-  if (nd.kind == OpKind::kConv && !wino_panels_[i].empty())
-    pack_winograd(node);
+  if (nd.kind == OpKind::kConv && !w.wino.empty()) pack_winograd(node);
   // Compressed panels re-derive from the mutated weights too (masks are
   // magnitude-based, so they may move).
-  if (!half_packed_[i].empty())
-    half_packed_[i].pack(weights_[i].data(), packed_[i].rows(),
-                         packed_[i].cols(), half_format_);
-  if (!sparse_packed_[i].empty()) {
-    const bool want_half = sparse_packed_[i].half();
-    const std::vector<std::uint8_t> mask = magnitude_mask(
-        weights_[i].data(), packed_[i].rows(), packed_[i].cols(), sparsity_);
-    if (want_half) {
-      sparse_packed_[i].pack(weights_[i].data(), packed_[i].rows(),
-                             packed_[i].cols(), mask.data(), half_format_);
+  if (!w.half.empty()) w.half.pack(master, m, k, half_format_);
+  if (!w.sparse.empty()) {
+    const std::vector<std::uint8_t> mask =
+        magnitude_mask(master, m, k, sparsity_);
+    if (w.sparse.half()) {
+      w.sparse.pack(master, m, k, mask.data(), half_format_);
     } else {
-      sparse_packed_[i].pack(weights_[i].data(), packed_[i].rows(),
-                             packed_[i].cols(), mask.data());
+      w.sparse.pack(master, m, k, mask.data());
     }
   }
-  pack_dirty_[i] = 0;
-  record_checksums(i);
+  w.dirty = false;
+  w.record_checksums();
 }
 
 void Engine::pack_storage(int node) {
   const std::size_t i = static_cast<std::size_t>(node);
   const WeightStorage st = plan_.nodes[i].storage;
   if (st == WeightStorage::kDense) return;
-  const std::size_t m = packed_[i].rows();
-  const std::size_t k = packed_[i].cols();
-  const float* w = weights_[i].data();
+  NodeWeights& w = panels_[i];
+  const std::size_t m = w.dense.rows();
+  const std::size_t k = w.dense.cols();
+  const float* master = weights_[i].data();
   if (st == WeightStorage::kHalf) {
-    if (half_packed_[i].empty()) {
-      half_packed_[i].pack(w, m, k, half_format_);
-      record_checksums(i);
+    if (w.half.empty()) {
+      w.half.pack(master, m, k, half_format_);
+      w.record_checksums();
     }
     return;
   }
   const bool want_half = st == WeightStorage::kSparseHalf;
-  if (!sparse_packed_[i].empty() && sparse_packed_[i].half() == want_half)
+  if (!w.sparse.empty() && w.sparse.half() == want_half)
     return;  // current panels match the plan (weights repack via repack())
-  const std::vector<std::uint8_t> mask = magnitude_mask(w, m, k, sparsity_);
+  const std::vector<std::uint8_t> mask =
+      magnitude_mask(master, m, k, sparsity_);
   if (want_half) {
-    sparse_packed_[i].pack(w, m, k, mask.data(), half_format_);
+    w.sparse.pack(master, m, k, mask.data(), half_format_);
   } else {
-    sparse_packed_[i].pack(w, m, k, mask.data());
+    w.sparse.pack(master, m, k, mask.data());
   }
-  record_checksums(i);
+  w.record_checksums();
 }
 
 void Engine::pack_winograd(int node) {
@@ -641,29 +600,28 @@ void Engine::pack_winograd(int node) {
                 "winograd panels need a 3x3 stride-1 conv node");
   const FeatShape in0 = graph_.shape(nd.inputs[0]);
   winograd::pack_weights(weights_[i].data(), nd.out_c, in0.c,
-                         wino_panels_[i]);
+                         panels_[i].wino);
 }
 
 // ---------------------------------------------------------------------------
 // Weight integrity (DESIGN.md §14)
 // ---------------------------------------------------------------------------
 
-void Engine::record_checksums(std::size_t i) {
-  pack_crc_[i] = packed_[i].empty() ? 0 : packed_[i].checksum();
-  sparse_crc_[i] = sparse_packed_[i].empty() ? 0 : sparse_packed_[i].checksum();
-  half_crc_[i] = half_packed_[i].empty() ? 0 : half_packed_[i].checksum();
+void Engine::NodeWeights::record_checksums() {
+  dense_crc = dense.empty() ? 0 : dense.checksum();
+  sparse_crc = sparse.empty() ? 0 : sparse.checksum();
+  half_crc = half.empty() ? 0 : half.checksum();
+}
+
+bool Engine::NodeWeights::checksums_match() const {
+  return (dense.empty() || dense.checksum() == dense_crc) &&
+         (sparse.empty() || sparse.checksum() == sparse_crc) &&
+         (half.empty() || half.checksum() == half_crc);
 }
 
 bool Engine::verify_node(int node, bool recover) {
-  const std::size_t i = static_cast<std::size_t>(node);
   ++integrity_report_.nodes_checked;
-  const bool dense_ok =
-      packed_[i].empty() || packed_[i].checksum() == pack_crc_[i];
-  const bool sparse_ok = sparse_packed_[i].empty() ||
-                         sparse_packed_[i].checksum() == sparse_crc_[i];
-  const bool half_ok =
-      half_packed_[i].empty() || half_packed_[i].checksum() == half_crc_[i];
-  if (dense_ok && sparse_ok && half_ok) return true;
+  if (panels_[static_cast<std::size_t>(node)].checksums_match()) return true;
   ++integrity_report_.mismatches;
   if (recover) {
     // Re-pack every live format of the node from the master fp32
@@ -691,13 +649,15 @@ void Engine::maybe_verify_tick() {
 
 PackedA& Engine::packed_panels(int node) {
   const std::size_t i = static_cast<std::size_t>(node);
-  OCB_CHECK_MSG(i < packed_.size() && !packed_[i].empty(),
+  OCB_CHECK_MSG(i < panels_.size() && !panels_[i].dense.empty(),
                 "packed_panels: node carries no packed weight panels");
-  return packed_[i];
+  return panels_[i].dense;
 }
 
 std::uint32_t Engine::recorded_checksum(int node) const {
-  return pack_crc_[static_cast<std::size_t>(node)];
+  const std::size_t i = static_cast<std::size_t>(node);
+  OCB_CHECK_MSG(i < panels_.size(), "recorded_checksum: node out of range");
+  return panels_[i].dense_crc;
 }
 
 QuantCalibration Engine::calibrate(const std::vector<Tensor>& frames) {
@@ -815,13 +775,47 @@ void Engine::build_int8_plan() {
 }
 
 const std::vector<Tensor>& Engine::run(const Tensor& input) {
+  forward({&input, 1});
+  // Snapshot image 0 into the pre-sized output tensors (activations are
+  // {max_batch, ...} after a batched prepare(); batch-1 callers get
+  // batch-1 tensors either way).
+  materialize_outputs(0, batch_outputs_[0]);
+  return batch_outputs_[0];
+}
+
+std::span<const std::vector<Tensor>> Engine::run_batch(
+    const std::vector<Tensor>& inputs) {
+  const std::size_t batch = inputs.size();
+  OCB_CHECK_MSG(batch >= 1, "run_batch needs at least one frame");
+  OCB_CHECK_MSG(batch <= static_cast<std::size_t>(max_batch_),
+                "run_batch exceeds the planned batch (prepare a larger "
+                "PlanRequest::max_batch)");
+  if (precision_ == Precision::kInt8) {
+    // The u8 buffers are sized for one image: one pass per frame.
+    for (std::size_t b = 0; b < batch; ++b) {
+      forward({&inputs[b], 1});
+      materialize_outputs(0, batch_outputs_[b]);
+    }
+  } else {
+    forward(inputs);
+    for (std::size_t b = 0; b < batch; ++b)
+      materialize_outputs(static_cast<int>(b), batch_outputs_[b]);
+  }
+  return {batch_outputs_.data(), batch};
+}
+
+void Engine::forward(std::span<const Tensor> inputs) {
+  const int batch = static_cast<int>(inputs.size());
+  const bool int8 = precision_ == Precision::kInt8;
+  OCB_CHECK_MSG(!int8 || batch == 1,
+                "the INT8 path runs one image per forward pass");
   const FeatShape in_shape = graph_.input_shape();
   const Shape expected{1, in_shape.c, in_shape.h, in_shape.w};
-  OCB_CHECK_MSG(input.shape() == expected,
-                "engine input shape mismatch: got " + input.shape().str());
+  for (const Tensor& in : inputs)
+    OCB_CHECK_MSG(in.shape() == expected,
+                  "engine input shape mismatch: got " + in.shape().str());
   maybe_verify_tick();
 
-  const bool int8 = precision_ == Precision::kInt8;
   if (int8) std::fill(u8_valid_.begin(), u8_valid_.end(), 0);
   // Cleared in either mode: a float run after an INT8 one must not let
   // node_output() dequantize stale u8 over the fresh activations.
@@ -834,8 +828,8 @@ const std::vector<Tensor>& Engine::run(const Tensor& input) {
     if (u8_valid_[si] == 0) {
       // Per-image numel: the u8 buffers are sized for one image even
       // when prepare() widened the float activations.
-      quantize_to_u8(activations_[si].data(), graph_.shape(s).numel(),
-                     node_quant_[si], u8_acts_[si].data());
+      quantize_to_u8(act_base_[si], graph_.shape(s).numel(), node_quant_[si],
+                     u8_acts_[si].data());
       u8_valid_[si] = 1;
     }
     return u8_acts_[si].data();
@@ -844,242 +838,16 @@ const std::vector<Tensor>& Engine::run(const Tensor& input) {
   const int n = graph_.node_count();
   for (int i = 0; i < n; ++i) {
     const Node& nd = graph_.node(i);
-    const FeatShape out = graph_.shape(i);
-    // Per-node activation view: the node's own buffer, or — under an
-    // active fusion plan — a slot inside another node's buffer or the
-    // planned arena.
-    float* dstp = act_base_[static_cast<std::size_t>(i)];
-    if (pack_dirty_[static_cast<std::size_t>(i)] != 0) repack(i);
-
-    auto srcp = [&](std::size_t k) -> const float* {
-      return act_base_[static_cast<std::size_t>(nd.inputs[k])];
-    };
-
-    switch (nd.kind) {
-      case OpKind::kInput:
-        // Same-shape copy: the pre-sized buffer is reused, keeping the
-        // activation pointers stable.
-        std::copy_n(input.data(), input.numel(), dstp);
-        break;
-      case OpKind::kConv: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
-                                nd.stride, nd.pad};
-        const std::size_t ui = static_cast<std::size_t>(i);
-        const std::size_t si = static_cast<std::size_t>(nd.inputs[0]);
-        const ConvAlgo algo = plan_.nodes[ui].algo;
-        if (int8 &&
-            (algo == ConvAlgo::kIm2colQuant ||
-             algo == ConvAlgo::kIm2colQuantFused) &&
-            qlayers_[ui].valid()) {
-          const bool fused_q = algo == ConvAlgo::kIm2colQuantFused;
-          const std::uint8_t* inq = u8_input(nd.inputs[0]);
-          if (qlayers_[ui].emit_u8) {
-            qconv2d(inq, geom, qlayers_[ui], biases_[i].data(),
-                    /*out_f32=*/nullptr, u8_acts_[ui].data(), scratch_,
-                    fused_q);
-            u8_valid_[ui] = 1;
-            float_stale_[ui] = 1;
-          } else {
-            qconv2d(inq, geom, qlayers_[ui], biases_[i].data(), dstp,
-                    /*out_u8=*/nullptr, scratch_, fused_q);
-          }
-          break;
-        }
-        // Residual fusion: this conv writes into the skipped Add's
-        // buffer, combining per EpiMode. The buffer must hold the
-        // other operand first — free when the plan aliased them.
-        const NodeFusion& fus = fusion_.nodes[ui];
-        EpiMode mode = EpiMode::kStore;
-        Act act = nd.act;
-        float* outp = dstp;
-        std::size_t out_stride = act_stride_[ui];
-        if (fus.residual_add) {
-          const std::size_t ai = static_cast<std::size_t>(fus.residual_out);
-          mode = fus.mode;
-          act = fus.act;
-          outp = act_base_[ai];
-          out_stride = act_stride_[ai];
-          if (fusion_.nodes[ai].place_parent != fus.residual_src)
-            std::copy_n(
-                act_base_[static_cast<std::size_t>(fus.residual_src)],
-                graph_.shape(fus.residual_out).numel(), outp);
-        }
-        if (algo == ConvAlgo::kWinograd) {
-          conv2d_winograd(srcp(0), act_stride_[si], /*batch=*/1, geom,
-                          wino_panels_[ui], biases_[i].data(), act, outp,
-                          out_stride, scratch_, mode);
-        } else if (algo == ConvAlgo::kIm2colFused) {
-          conv2d_fused(srcp(0), act_stride_[si], /*batch=*/1, geom,
-                       packed_[ui], biases_[i].data(), act, outp,
-                       out_stride, scratch_, mode);
-        } else if (algo == ConvAlgo::kDirectGemm) {
-          switch (plan_.nodes[ui].storage) {
-            case WeightStorage::kHalf:
-              conv2d_direct1x1(srcp(0), act_stride_[si], /*batch=*/1, geom,
-                               half_packed_[ui], biases_[i].data(), nd.act,
-                               outp, out_stride);
-              break;
-            case WeightStorage::kSparse:
-            case WeightStorage::kSparseHalf:
-              conv2d_direct1x1(srcp(0), act_stride_[si], /*batch=*/1, geom,
-                               sparse_packed_[ui], biases_[i].data(), nd.act,
-                               outp, out_stride);
-              break;
-            case WeightStorage::kDense:
-              conv2d_direct1x1(srcp(0), act_stride_[si], /*batch=*/1, geom,
-                               packed_[ui], biases_[i].data(), act, outp,
-                               out_stride, mode);
-              break;
-          }
-        } else {
-          // Materialized im2col paths (never residual-fused).
-          switch (plan_.nodes[ui].storage) {
-            case WeightStorage::kHalf:
-              conv2d(srcp(0), geom, half_packed_[ui], biases_[i].data(),
-                     nd.act, dstp, scratch_);
-              break;
-            case WeightStorage::kSparse:
-            case WeightStorage::kSparseHalf:
-              conv2d(srcp(0), geom, sparse_packed_[ui], biases_[i].data(),
-                     nd.act, dstp, scratch_);
-              break;
-            case WeightStorage::kDense:
-              conv2d(srcp(0), geom, packed_[ui], biases_[i].data(), nd.act,
-                     dstp, scratch_);
-              break;
-          }
-        }
-        break;
-      }
-      case OpKind::kDwConv: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
-                                nd.stride, nd.pad};
-        dwconv2d(srcp(0), geom, weights_[i].data(), biases_[i].data(),
-                 nd.act, dstp);
-        break;
-      }
-      case OpKind::kDeconv: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        deconv2d_2x(srcp(0), s.c, s.h, s.w, nd.out_c, weights_[i].data(),
-                    biases_[i].data(), nd.act, dstp);
-        break;
-      }
-      case OpKind::kMaxPool: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
-                                nd.stride, nd.pad};
-        maxpool2d(srcp(0), geom, dstp);
-        break;
-      }
-      case OpKind::kUpsample: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        upsample2x_nearest(srcp(0), s.c, s.h, s.w, dstp);
-        break;
-      }
-      case OpKind::kConcat: {
-        // Inputs the fusion plan placed into this buffer already wrote
-        // their channel range; copy only the rest.
-        std::size_t coff = 0;
-        for (int s : nd.inputs) {
-          const std::size_t cn = graph_.shape(s).numel();
-          if (fusion_.nodes[static_cast<std::size_t>(s)].place_parent != i)
-            std::copy_n(act_base_[static_cast<std::size_t>(s)], cn,
-                        dstp + coff);
-          coff += cn;
-        }
-        break;
-      }
-      case OpKind::kAdd:
-        if (fusion_.nodes[static_cast<std::size_t>(i)].skip)
-          break;  // folded into the producer conv's epilogue
-        add_elementwise(srcp(0), srcp(1), out.numel(), dstp);
-        apply_activation(nd.act, dstp, out.numel());
-        break;
-      case OpKind::kSlice: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        slice_channels(srcp(0), s.c, s.h, s.w, nd.slice_begin, nd.slice_end,
-                       dstp);
-        break;
-      }
-      case OpKind::kGlobalAvgPool: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        global_avg_pool(srcp(0), s.c, s.h, s.w, dstp);
-        break;
-      }
-      case OpKind::kLinear: {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        if (int8 && qlayers_[ui].valid()) {
-          qlinear(u8_input(nd.inputs[0]),
-                  graph_.shape(nd.inputs[0]).numel(), qlayers_[ui],
-                  biases_[i].data(), dstp, /*out_u8=*/nullptr, scratch_);
-        } else {
-          switch (plan_.nodes[ui].storage) {
-            case WeightStorage::kHalf:
-              linear(srcp(0), half_packed_[ui], biases_[i].data(), nd.act,
-                     dstp);
-              break;
-            case WeightStorage::kSparse:
-            case WeightStorage::kSparseHalf:
-              linear(srcp(0), sparse_packed_[ui], biases_[i].data(), nd.act,
-                     dstp);
-              break;
-            case WeightStorage::kDense:
-              linear(srcp(0), packed_[ui], biases_[i].data(), nd.act, dstp);
-              break;
-          }
-        }
-        break;
-      }
-    }
-  }
-
-  has_run_ = true;
-  // Snapshot image 0 into the pre-sized output tensors (activations are
-  // {max_batch, ...} after a batched prepare(); batch-1 callers get
-  // batch-1 tensors either way).
-  materialize_outputs(0, outputs_);
-  return outputs_;
-}
-
-std::span<const std::vector<Tensor>> Engine::run_batch(
-    const std::vector<Tensor>& inputs) {
-  const int batch = static_cast<int>(inputs.size());
-  OCB_CHECK_MSG(batch >= 1, "run_batch needs at least one frame");
-  OCB_CHECK_MSG(batch <= max_batch_,
-                "run_batch exceeds the planned batch (prepare a larger "
-                "PlanRequest::max_batch)");
-  if (batch == 1 || precision_ == Precision::kInt8) {
-    // A batch of one gains nothing from the widened lowering, and the
-    // INT8 path keeps per-image quantized buffers.
-    for (int b = 0; b < batch; ++b) {
-      run(inputs[static_cast<std::size_t>(b)]);
-      materialize_outputs(0, batch_outputs_[static_cast<std::size_t>(b)]);
-    }
-    return {batch_outputs_.data(), static_cast<std::size_t>(batch)};
-  }
-  const FeatShape in_shape = graph_.input_shape();
-  const Shape expected{1, in_shape.c, in_shape.h, in_shape.w};
-  for (const Tensor& in : inputs) {
-    OCB_CHECK_MSG(in.shape() == expected,
-                  "engine batch input shape mismatch: got " +
-                      in.shape().str());
-  }
-  maybe_verify_tick();
-
-  const int n = graph_.node_count();
-  for (int i = 0; i < n; ++i) {
-    const Node& nd = graph_.node(i);
-    const FeatShape out = graph_.shape(i);
-    const std::size_t out_chw = out.numel();
-    const std::size_t ii = static_cast<std::size_t>(i);
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const std::size_t out_chw = graph_.shape(i).numel();
     // This node's activation view: image b lives at dst_base + b *
     // dst_stride (the stride is the owning root's per-image extent
     // when the fusion plan placed this node inside another buffer).
-    float* dst_base = act_base_[ii];
-    const std::size_t dst_stride = act_stride_[ii];
-    if (pack_dirty_[ii] != 0) repack(i);
+    float* dst_base = act_base_[ui];
+    const std::size_t dst_stride = act_stride_[ui];
+    if (panels_[ui].dirty) repack(i);
+    const NodeWeights& w = panels_[ui];
+    const float* bias = biases_[ui].data();
 
     // Image b of input k's activation (all images are live: every node
     // below processes the full batch).
@@ -1093,22 +861,38 @@ std::span<const std::vector<Tensor>> Engine::run_batch(
 
     switch (nd.kind) {
       case OpKind::kInput:
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           std::copy_n(inputs[static_cast<std::size_t>(b)].data(), out_chw,
                       dst_at(b));
-        }
         break;
       case OpKind::kConv: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
         const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
                                 nd.stride, nd.pad};
-        const std::size_t ui = static_cast<std::size_t>(i);
         const std::size_t sstride =
             act_stride_[static_cast<std::size_t>(nd.inputs[0])];
-        const WeightStorage st = plan_.nodes[ui].storage;
-        // Residual fusion (see run()): retarget the write to the
-        // skipped Add's buffer and preload the other operand per image
-        // unless aliased.
+        const ConvAlgo algo = plan_.nodes[ui].algo;
+        if (int8 &&
+            (algo == ConvAlgo::kIm2colQuant ||
+             algo == ConvAlgo::kIm2colQuantFused) &&
+            qlayers_[ui].valid()) {
+          const bool fused_q = algo == ConvAlgo::kIm2colQuantFused;
+          const std::uint8_t* inq = u8_input(nd.inputs[0]);
+          if (qlayers_[ui].emit_u8) {
+            qconv2d(inq, geom, qlayers_[ui], bias, /*out_f32=*/nullptr,
+                    u8_acts_[ui].data(), scratch_, fused_q);
+            u8_valid_[ui] = 1;
+            float_stale_[ui] = 1;
+          } else {
+            qconv2d(inq, geom, qlayers_[ui], bias, dst_base,
+                    /*out_u8=*/nullptr, scratch_, fused_q);
+          }
+          break;
+        }
+        // Residual fusion: this conv writes into the skipped Add's
+        // buffer, combining per EpiMode. The buffer must hold the other
+        // operand first — free when the plan aliased them, else
+        // preloaded per image.
         const NodeFusion& fus = fusion_.nodes[ui];
         EpiMode mode = EpiMode::kStore;
         Act act = nd.act;
@@ -1130,56 +914,27 @@ std::span<const std::vector<Tensor>> Engine::run_batch(
                           cn, outp + static_cast<std::size_t>(b) * out_stride);
           }
         }
-        switch (plan_.nodes[ui].algo) {
+        switch (algo) {
           case ConvAlgo::kWinograd:
-            conv2d_winograd(src_at(0, 0), sstride, batch, geom,
-                            wino_panels_[ui], biases_[i].data(), act, outp,
-                            out_stride, scratch_, mode);
+            conv2d_winograd(src_at(0, 0), sstride, batch, geom, w.wino, bias,
+                            act, outp, out_stride, scratch_, mode);
             break;
           case ConvAlgo::kIm2colFused:
-            conv2d_fused(src_at(0, 0), sstride, batch, geom, packed_[ui],
-                         biases_[i].data(), act, outp, out_stride, scratch_,
-                         mode);
+            conv2d_fused(src_at(0, 0), sstride, batch, geom, w.dense, bias,
+                         act, outp, out_stride, scratch_, mode);
             break;
           case ConvAlgo::kDirectGemm:
-            switch (st) {
-              case WeightStorage::kHalf:
-                conv2d_direct1x1(src_at(0, 0), sstride, batch, geom,
-                                 half_packed_[ui], biases_[i].data(), nd.act,
-                                 outp, out_stride);
-                break;
-              case WeightStorage::kSparse:
-              case WeightStorage::kSparseHalf:
-                conv2d_direct1x1(src_at(0, 0), sstride, batch, geom,
-                                 sparse_packed_[ui], biases_[i].data(),
-                                 nd.act, outp, out_stride);
-                break;
-              case WeightStorage::kDense:
-                conv2d_direct1x1(src_at(0, 0), sstride, batch, geom,
-                                 packed_[ui], biases_[i].data(), act, outp,
-                                 out_stride, mode);
-                break;
-            }
+            w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
+              conv2d_direct1x1(src_at(0, 0), sstride, batch, geom, panels,
+                               bias, act, outp, out_stride, mode);
+            });
             break;
           default:
-            switch (st) {
-              case WeightStorage::kHalf:
-                conv2d_batched(src_at(0, 0), sstride, batch, geom,
-                               half_packed_[ui], biases_[i].data(), nd.act,
-                               outp, out_stride, scratch_);
-                break;
-              case WeightStorage::kSparse:
-              case WeightStorage::kSparseHalf:
-                conv2d_batched(src_at(0, 0), sstride, batch, geom,
-                               sparse_packed_[ui], biases_[i].data(), nd.act,
-                               outp, out_stride, scratch_);
-                break;
-              case WeightStorage::kDense:
-                conv2d_batched(src_at(0, 0), sstride, batch, geom,
-                               packed_[ui], biases_[i].data(), nd.act, outp,
-                               out_stride, scratch_);
-                break;
-            }
+            // Materialized im2col paths (never residual-fused).
+            w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
+              conv2d_batched(src_at(0, 0), sstride, batch, geom, panels,
+                             bias, nd.act, outp, out_stride, scratch_);
+            });
             break;
         }
         break;
@@ -1188,53 +943,48 @@ std::span<const std::vector<Tensor>> Engine::run_batch(
         const FeatShape s = graph_.shape(nd.inputs[0]);
         const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
                                 nd.stride, nd.pad};
-        for (int b = 0; b < batch; ++b) {
-          dwconv2d(src_at(0, b), geom, weights_[i].data(), biases_[i].data(),
-                   nd.act, dst_at(b));
-        }
+        for (int b = 0; b < batch; ++b)
+          dwconv2d(src_at(0, b), geom, weights_[ui].data(), bias, nd.act,
+                   dst_at(b));
         break;
       }
       case OpKind::kDeconv: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           deconv2d_2x(src_at(0, b), s.c, s.h, s.w, nd.out_c,
-                      weights_[i].data(), biases_[i].data(), nd.act,
-                      dst_at(b));
-        }
+                      weights_[ui].data(), bias, nd.act, dst_at(b));
         break;
       }
       case OpKind::kMaxPool: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
         const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
                                 nd.stride, nd.pad};
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           maxpool2d(src_at(0, b), geom, dst_at(b));
-        }
         break;
       }
       case OpKind::kUpsample: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           upsample2x_nearest(src_at(0, b), s.c, s.h, s.w, dst_at(b));
-        }
         break;
       }
-      case OpKind::kConcat: {
+      case OpKind::kConcat:
+        // Inputs the fusion plan placed into this buffer already wrote
+        // their channel range; copy only the rest.
         for (int b = 0; b < batch; ++b) {
           std::size_t coff = 0;
           for (std::size_t k = 0; k < nd.inputs.size(); ++k) {
             const int sn = nd.inputs[k];
             const std::size_t cn = graph_.shape(sn).numel();
-            if (fusion_.nodes[static_cast<std::size_t>(sn)].place_parent !=
-                i)
+            if (fusion_.nodes[static_cast<std::size_t>(sn)].place_parent != i)
               std::copy_n(src_at(k, b), cn, dst_at(b) + coff);
             coff += cn;
           }
         }
         break;
-      }
       case OpKind::kAdd: {
-        if (fusion_.nodes[ii].skip)
+        if (fusion_.nodes[ui].skip)
           break;  // folded into the producer conv's epilogue
         const std::size_t s0 = static_cast<std::size_t>(nd.inputs[0]);
         const std::size_t s1 = static_cast<std::size_t>(nd.inputs[1]);
@@ -1242,11 +992,9 @@ std::span<const std::vector<Tensor>> Engine::run_batch(
             dst_stride == out_chw) {
           // All three buffers hold the batch contiguously: one call
           // covers every image.
-          add_elementwise(src_at(0, 0), src_at(1, 0),
-                          out_chw * static_cast<std::size_t>(batch),
-                          dst_base);
-          apply_activation(nd.act, dst_base,
-                           out_chw * static_cast<std::size_t>(batch));
+          const std::size_t total = out_chw * static_cast<std::size_t>(batch);
+          add_elementwise(src_at(0, 0), src_at(1, 0), total, dst_base);
+          apply_activation(nd.act, dst_base, total);
         } else {
           for (int b = 0; b < batch; ++b) {
             add_elementwise(src_at(0, b), src_at(1, b), out_chw, dst_at(b));
@@ -1257,49 +1005,31 @@ std::span<const std::vector<Tensor>> Engine::run_batch(
       }
       case OpKind::kSlice: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           slice_channels(src_at(0, b), s.c, s.h, s.w, nd.slice_begin,
                          nd.slice_end, dst_at(b));
-        }
         break;
       }
       case OpKind::kGlobalAvgPool: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b) {
+        for (int b = 0; b < batch; ++b)
           global_avg_pool(src_at(0, b), s.c, s.h, s.w, dst_at(b));
-        }
         break;
       }
-      case OpKind::kLinear: {
-        const std::size_t ui = static_cast<std::size_t>(i);
-        for (int b = 0; b < batch; ++b) {
-          float* obuf = dst_at(b);
-          switch (plan_.nodes[ui].storage) {
-            case WeightStorage::kHalf:
-              linear(src_at(0, b), half_packed_[ui], biases_[i].data(),
-                     nd.act, obuf);
-              break;
-            case WeightStorage::kSparse:
-            case WeightStorage::kSparseHalf:
-              linear(src_at(0, b), sparse_packed_[ui], biases_[i].data(),
-                     nd.act, obuf);
-              break;
-            case WeightStorage::kDense:
-              linear(src_at(0, b), packed_[ui], biases_[i].data(), nd.act,
-                     obuf);
-              break;
-          }
+      case OpKind::kLinear:
+        if (int8 && qlayers_[ui].valid()) {
+          qlinear(u8_input(nd.inputs[0]), graph_.shape(nd.inputs[0]).numel(),
+                  qlayers_[ui], bias, dst_base, /*out_u8=*/nullptr, scratch_);
+          break;
         }
+        w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
+          for (int b = 0; b < batch; ++b)
+            linear(src_at(0, b), panels, bias, nd.act, dst_at(b));
+        });
         break;
-      }
     }
   }
-
   has_run_ = true;
-  std::fill(float_stale_.begin(), float_stale_.end(), 0);
-  for (int b = 0; b < batch; ++b)
-    materialize_outputs(b, batch_outputs_[static_cast<std::size_t>(b)]);
-  return {batch_outputs_.data(), static_cast<std::size_t>(batch)};
 }
 
 const Tensor& Engine::node_output(int node) const {
@@ -1330,7 +1060,7 @@ Tensor& Engine::weight(int node) {
   OCB_CHECK(node >= 0 && node < graph_.node_count());
   OCB_CHECK_MSG(!weights_[static_cast<std::size_t>(node)].empty(),
                 "node has no weights");
-  pack_dirty_[static_cast<std::size_t>(node)] = 1;
+  panels_[static_cast<std::size_t>(node)].dirty = true;
   return weights_[static_cast<std::size_t>(node)];
 }
 

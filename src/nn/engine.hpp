@@ -12,8 +12,11 @@
 // path), sizes activations for the requested micro-batch, selects the
 // execution precision, and reserves the scratch arena — consulting the
 // process-wide PlanCache so identical layers across engines share one
-// costed decision (see nn/planner.hpp). run()/run_batch() then just
-// dispatch along the prepared ExecutionPlan.
+// costed decision (see nn/planner.hpp). One interpreter executes the
+// prepared ExecutionPlan: a single strided pass over the graph that runs
+// every node for all images of a call. run() is a batch-1 pass and
+// run_batch() a batched one, except under INT8, where run_batch() loops
+// the pass once per image (the u8 buffers are sized for one image).
 //
 // Steady-state frame path: every conv/linear weight matrix is repacked
 // once at load time into PackedA tile panels (re-done lazily if a test
@@ -160,16 +163,16 @@ class Engine {
 
   int max_batch() const noexcept { return max_batch_; }
 
-  /// Run up to max_batch() frames as one fused forward pass: every
-  /// conv processes all frames side by side (widened im2col GEMM or
-  /// batched Winograd tiles, per the active plan) so per-layer
-  /// dispatch overhead is paid once per batch, not once per frame.
-  /// Returns outputs[frame][output], each a batch-1 tensor matching
-  /// what run(frame) would produce. INT8 engines and single-frame
-  /// batches fall back to per-frame run() (the quantized path keeps
-  /// its per-image buffers). Like run(), the view aliases pre-sized
-  /// engine storage (heap-free per call) and is invalidated by the
-  /// next run()/run_batch()/prepare().
+  /// Run up to max_batch() frames as one forward pass: every conv
+  /// processes all frames side by side (widened im2col GEMM or batched
+  /// Winograd tiles, per the active plan) so per-layer dispatch
+  /// overhead is paid once per batch, not once per frame. Returns
+  /// outputs[frame][output], each a batch-1 tensor matching what
+  /// run(frame) would produce. run() is the same pass at batch 1.
+  /// INT8 engines run the pass once per frame instead (the quantized
+  /// path keeps per-image u8 buffers). Like run(), the view aliases
+  /// pre-sized engine storage (heap-free per call) and is invalidated
+  /// by the next run()/run_batch()/prepare().
   std::span<const std::vector<Tensor>> run_batch(
       const std::vector<Tensor>& inputs);
 
@@ -218,12 +221,13 @@ class Engine {
   }
 
   /// Direct access to a node's packed fp32 panels for fault injection:
-  /// writes through PackedA::mutable_data() bypass pack_dirty_
+  /// writes through PackedA::mutable_data() bypass dirty-weight
   /// tracking, modelling silent memory corruption the checksum layer
   /// must catch. Node must be conv/linear (non-empty panels).
   PackedA& packed_panels(int node);
 
-  /// The CRC32 recorded for a node's dense panels at pack time.
+  /// The CRC32 recorded for a node's dense panels at pack time (0 when
+  /// the node carries none). Node must be in range.
   std::uint32_t recorded_checksum(int node) const;
 
   // --- Plan-verifier introspection (src/verify, DESIGN.md §15) -------
@@ -276,14 +280,51 @@ class Engine {
   static PlanVerifyHook plan_verify_hook() noexcept;
 
  private:
+  /// One node's packed weight panels in every format the plan may run,
+  /// the CRC32 recorded for each at pack time (0 = format not packed)
+  /// and whether weight() was handed out since the last pack.
+  struct NodeWeights {
+    PackedA dense;  ///< conv/linear panels (always packed)
+    /// Compressed panels, built lazily when the plan assigns the node
+    /// kSparse/kSparseHalf or kHalf storage (empty otherwise).
+    PackedSparseA sparse;
+    PackedHalfA half;
+    /// Winograd weight panels (16), packed lazily when the plan first
+    /// selects kWinograd for the node.
+    std::vector<PackedA> wino;
+    std::uint32_t dense_crc = 0;
+    std::uint32_t sparse_crc = 0;
+    std::uint32_t half_crc = 0;
+    bool dirty = false;
+
+    /// Re-record the CRC32s of all live formats.
+    void record_checksums();
+    /// True when every live format still matches its recorded CRC32.
+    bool checksums_match() const;
+    /// Hands the panels `storage` names to `fn` (the one storage
+    /// dispatch the interpreter uses; heap-free).
+    template <typename Fn>
+    void visit(WeightStorage storage, Fn&& fn) const {
+      switch (storage) {
+        case WeightStorage::kHalf: fn(half); return;
+        case WeightStorage::kSparse:
+        case WeightStorage::kSparseHalf: fn(sparse); return;
+        case WeightStorage::kDense: break;
+      }
+      fn(dense);
+    }
+  };
+
+  /// The graph interpreter: executes every node once for all of
+  /// `inputs` (batch-1 images, at most max_batch_), image b of node i
+  /// living at act_base_[i] + b·act_stride_[i]. INT8 runs batch 1 only.
+  void forward(std::span<const Tensor> inputs);
   void repack(int node);
-  /// Re-record the CRC32s of node i's packed panels (all live formats).
-  void record_checksums(std::size_t i);
   /// Verify one node's panels; re-pack from master weights on mismatch
   /// when `recover`. Returns true when all live panels matched.
   bool verify_node(int node, bool recover);
-  /// Cadence hook called once per frame by the run paths: after every
-  /// integrity_.verify_every frames, verify the next node round-robin.
+  /// Cadence hook called once per forward pass: after every
+  /// integrity_.verify_every passes, verify the next node round-robin.
   void maybe_verify_tick();
   /// Build the compressed weight panels (sparse and/or half) the active
   /// plan wants for `node`, if any are missing or stale.
@@ -298,9 +339,10 @@ class Engine {
   /// from the active fusion plan (identity mapping when fusion is
   /// off). Must run after anything that moves activation storage.
   void rebuild_act_layout();
-  /// (Re)allocates the output snapshot slots: outputs_ plus one
-  /// batch_outputs_ row per planned batch image. The only place output
-  /// storage is allocated — the run paths just copy into it.
+  /// (Re)allocates the output snapshot slots: one batch_outputs_ row
+  /// per planned batch image (row 0 is what run() returns). The only
+  /// place output storage is allocated — the run paths just copy into
+  /// it.
   void resize_output_slots();
   /// Copies image `image` of every graph output into `dst`'s pre-sized
   /// batch-1 tensors.
@@ -311,17 +353,9 @@ class Engine {
   std::vector<Tensor> biases_;
   /// Mutable: node_output() lazily dequantizes u8-resident activations.
   mutable std::vector<Tensor> activations_;
-  std::vector<PackedA> packed_;      ///< per-node weight panels (conv/linear)
-  std::vector<char> pack_dirty_;     ///< weight() handed out since last pack
-  /// Compressed weight panels, built lazily when the plan assigns the
-  /// node kSparse/kSparseHalf or kHalf storage (empty otherwise).
-  std::vector<PackedSparseA> sparse_packed_;
-  std::vector<PackedHalfA> half_packed_;
-  /// Per-node Winograd weight panels (16 each), packed lazily when the
-  /// plan first selects kWinograd for the node.
-  std::vector<std::vector<PackedA>> wino_panels_;
-  /// Pre-sized output snapshots returned by run() / run_batch().
-  std::vector<Tensor> outputs_;
+  std::vector<NodeWeights> panels_;  ///< per-node packed weights + CRCs
+  /// Pre-sized output snapshots returned by run() (row 0) and
+  /// run_batch() (one row per image).
   std::vector<std::vector<Tensor>> batch_outputs_;
   ConvScratch scratch_;
   bool has_run_ = false;  ///< activations hold real data (vs zero-fill)
@@ -342,13 +376,10 @@ class Engine {
   ExecutionPlan plan_;               ///< active plan (see prepare)
   std::vector<ConvPlan> plan_scratch_;  ///< pre-sized planning staging
 
-  /// Checksum state: recorded CRCs per node and format (0 = no panel),
-  /// the conv/linear node list the cadence walks, and its cursor.
+  /// Checksum state (the recorded CRCs live in panels_): the
+  /// conv/linear node list the cadence walks, and its cursor.
   IntegrityConfig integrity_{};
   IntegrityReport integrity_report_{};
-  std::vector<std::uint32_t> pack_crc_;
-  std::vector<std::uint32_t> sparse_crc_;
-  std::vector<std::uint32_t> half_crc_;
   std::vector<int> integrity_nodes_;
   std::size_t integrity_cursor_ = 0;
   int integrity_tick_ = 0;

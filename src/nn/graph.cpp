@@ -212,25 +212,28 @@ FeatShape Graph::infer_shape(const Node& node) const {
   throw Error("unreachable op kind");
 }
 
-std::size_t Graph::node_params(int i) const {
+Shape Graph::weight_shape(int i) const {
   const Node& nd = node(i);
   const auto& in0 = nd.inputs.empty() ? FeatShape{} : shape(nd.inputs[0]);
+  const int k = nd.kernel;
   switch (nd.kind) {
     case OpKind::kConv:
-      return static_cast<std::size_t>(nd.out_c) * in0.c * nd.kernel * nd.kernel +
-             static_cast<std::size_t>(nd.out_c);
+      return {nd.out_c, in0.c, k, k};
     case OpKind::kDwConv:
-      return static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel +
-             static_cast<std::size_t>(in0.c);
+      return {in0.c, 1, k, k};
     case OpKind::kDeconv:
-      return static_cast<std::size_t>(nd.out_c) * in0.c * nd.kernel * nd.kernel +
-             static_cast<std::size_t>(nd.out_c);
+      return {in0.c, nd.out_c, k, k};
     case OpKind::kLinear:
-      return static_cast<std::size_t>(nd.out_c) * in0.numel() +
-             static_cast<std::size_t>(nd.out_c);
+      return {nd.out_c, static_cast<int>(in0.numel()), 1, 1};
     default:
-      return 0;
+      return {0, 0, 0, 0};
   }
+}
+
+std::size_t Graph::node_params(int i) const {
+  // Every parametrised op carries one bias per output channel.
+  const std::size_t weights = weight_shape(i).numel();
+  return weights == 0 ? 0 : weights + static_cast<std::size_t>(shape(i).c);
 }
 
 double Graph::node_flops(int i) const {

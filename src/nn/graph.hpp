@@ -51,7 +51,12 @@ class Graph {
   /// Multiply–accumulate-based FLOP count for one forward pass.
   double flops() const noexcept;
 
-  /// Parameters owned by node i (0 for parameter-free ops).
+  /// Layout of node i's weight tensor: conv {out_c, in_c, k, k},
+  /// dwconv {c, 1, k, k}, deconv {in_c, out_c, 4, 4}, linear
+  /// {out, in_features, 1, 1}; all-zero for parameter-free ops.
+  Shape weight_shape(int i) const;
+  /// Parameters owned by node i (weights plus one bias per output
+  /// channel; 0 for parameter-free ops).
   std::size_t node_params(int i) const;
   /// FLOPs executed by node i.
   double node_flops(int i) const;

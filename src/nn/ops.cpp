@@ -108,7 +108,7 @@ void conv2d_direct1x1_impl(const float* input, std::size_t in_stride,
                            int batch, const ConvGeometry& geom,
                            const Packed& weight, const float* bias, Act act,
                            float* output, std::size_t out_stride,
-                           EpiMode mode = EpiMode::kStore) {
+                           EpiMode mode) {
   OCB_CHECK_MSG(geom.kernel_h == 1 && geom.kernel_w == 1 &&
                     geom.stride == 1 && geom.pad == 0,
                 "conv2d_direct1x1 needs a 1x1 stride-1 pad-0 conv");
@@ -134,18 +134,6 @@ void conv2d(const float* input, const ConvGeometry& geom, int out_c,
 void conv2d(const float* input, const ConvGeometry& geom,
             const PackedA& weight, const float* bias, Act act, float* output,
             ConvScratch& scratch) {
-  conv2d_impl(input, geom, weight, bias, act, output, scratch);
-}
-
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedHalfA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch) {
-  conv2d_impl(input, geom, weight, bias, act, output, scratch);
-}
-
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedSparseA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch) {
   conv2d_impl(input, geom, weight, bias, act, output, scratch);
 }
 
@@ -203,17 +191,17 @@ void conv2d_fused(const float* input, std::size_t in_stride, int batch,
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedHalfA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride) {
+                      std::size_t out_stride, EpiMode mode) {
   conv2d_direct1x1_impl(input, in_stride, batch, geom, weight, bias, act,
-                        output, out_stride);
+                        output, out_stride, mode);
 }
 
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedSparseA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride) {
+                      std::size_t out_stride, EpiMode mode) {
   conv2d_direct1x1_impl(input, in_stride, batch, geom, weight, bias, act,
-                        output, out_stride);
+                        output, out_stride, mode);
 }
 
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,

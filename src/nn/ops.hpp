@@ -86,12 +86,6 @@ void conv2d_fused(const float* input, std::size_t in_stride, int batch,
 /// PackedHalfA (16-bit weights widened in-register) or PackedSparseA
 /// (surviving-column panels) instead of dense fp32 panels. The engine
 /// dispatches on ConvPlan::storage (see nn/conv_plan.hpp).
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedHalfA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch);
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedSparseA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch);
 void conv2d_batched(const float* input, std::size_t in_stride, int batch,
                     const ConvGeometry& geom, const PackedHalfA& weight,
                     const float* bias, Act act, float* output,
@@ -103,11 +97,13 @@ void conv2d_batched(const float* input, std::size_t in_stride, int batch,
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedHalfA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride);
+                      std::size_t out_stride,
+                      EpiMode mode = EpiMode::kStore);
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedSparseA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride);
+                      std::size_t out_stride,
+                      EpiMode mode = EpiMode::kStore);
 
 /// Winograd F(2×2,3×3) conv (kernel 3, stride 1 only) over weight
 /// panels pre-transformed by winograd::pack_weights: per batch, lower

@@ -18,6 +18,9 @@ const char* stage_status_name(StageStatus status) noexcept {
 HostExecutor::HostExecutor(const nn::Graph& graph, std::string name,
                            std::uint64_t seed)
     : engine_(graph, seed), name_(std::move(name)) {
+  // Time the program's default plan, not the constructor's unplanned
+  // all-im2col baseline.
+  engine_.prepare(nn::PlanRequest{});
   const nn::FeatShape in = graph.input_shape();
   input_ = Tensor({1, in.c, in.h, in.w});
   Rng rng(seed);

@@ -133,10 +133,8 @@ namespace {
 
 // Inner kernel: C[mb×nb] += A[mb×kb] · B[kb×nb] with the k-loop hoisted
 // outside the j-loop so B rows stream sequentially (unit stride) and the
-// compiler can vectorise the j-loop. The SkipZero variant keeps the old
-// per-element zero test for callers with genuinely sparse A — in the
-// dense case that branch defeats vectorisation, so it is opt-in.
-template <bool SkipZero>
+// compiler can vectorise the j-loop. No zero-skipping: latency must not
+// depend on the weight values.
 void micro_kernel(const float* a, const float* b, float* c, std::size_t mb,
                   std::size_t kb, std::size_t nb, std::size_t lda,
                   std::size_t ldb, std::size_t ldc) {
@@ -144,9 +142,6 @@ void micro_kernel(const float* a, const float* b, float* c, std::size_t mb,
     float* crow = c + i * ldc;
     for (std::size_t p = 0; p < kb; ++p) {
       const float aval = a[i * lda + p];
-      if constexpr (SkipZero) {
-        if (aval == 0.0f) continue;
-      }
       const float* brow = b + p * ldb;
       for (std::size_t j = 0; j < nb; ++j) crow[j] += aval * brow[j];
     }
@@ -170,12 +165,8 @@ void gemm_scalar_blocked(const float* a, const float* b, float* c,
       const std::size_t kb = std::min(bk, k - p0);
       for (std::size_t j0 = 0; j0 < n; j0 += bn) {
         const std::size_t nb = std::min(bn, n - j0);
-        if (config.skip_zero)
-          micro_kernel<true>(a + i0 * k + p0, b + p0 * n + j0,
-                             c + i0 * n + j0, mb, kb, nb, k, n, n);
-        else
-          micro_kernel<false>(a + i0 * k + p0, b + p0 * n + j0,
-                              c + i0 * n + j0, mb, kb, nb, k, n, n);
+        micro_kernel(a + i0 * k + p0, b + p0 * n + j0, c + i0 * n + j0, mb,
+                     kb, nb, k, n, n);
       }
     }
   };

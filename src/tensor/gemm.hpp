@@ -40,10 +40,6 @@ struct GemmConfig {
   std::size_t block_n = 256;
   std::size_t block_k = 128;
   bool parallel = true;
-  /// Scalar fallback only: skip zero A elements in the inner loop.
-  /// Off by default — the branch defeats vectorisation on dense
-  /// matrices; opt in for genuinely sparse A (e.g. pruned weights).
-  bool skip_zero = false;
   GemmPath path = GemmPath::kAuto;
 };
 

@@ -288,6 +288,13 @@ TEST(Resilience, IntegrityConfigDoesNotInvalidatePlans) {
   EXPECT_EQ(guard.allocations(), 0u);
 }
 
+TEST(Resilience, RecordedChecksumRejectsOutOfRangeNodes) {
+  const nn::Graph g = tiny_graph();
+  const nn::Engine engine(g, 23);
+  EXPECT_THROW(engine.recorded_checksum(-1), Error);
+  EXPECT_THROW(engine.recorded_checksum(g.node_count()), Error);
+}
+
 // ------------------------------------------------------- stuck lane
 
 TEST(LaneFault, HookCorruptsExactlyTheArmedLane) {

@@ -183,21 +183,6 @@ TEST(Gemm, ScalarFallbackMatchesNaiveOnOddShapes) {
   }
 }
 
-TEST(Gemm, SkipZeroConfigMatchesDenseOnSparseA) {
-  Rng rng(7);
-  const std::size_t m = 24, k = 40, n = 31;
-  auto a = random_matrix(m, k, rng);
-  for (std::size_t i = 0; i < a.size(); i += 3) a[i] = 0.0f;  // ~1/3 sparse
-  const auto b = random_matrix(k, n, rng);
-  GemmConfig sparse;
-  sparse.path = GemmPath::kScalar;
-  sparse.skip_zero = true;
-  std::vector<float> c(m * n), ref(m * n);
-  gemm(a.data(), b.data(), c.data(), m, k, n, false, sparse);
-  gemm_naive(a.data(), b.data(), ref.data(), m, k, n);
-  expect_matrices_near(c, ref, 1e-4f);
-}
-
 TEST(Gemm, PackedMatchesNaiveAcrossShapes) {
   const std::size_t dims[] = {1, 5, 6, 7, 12, 13, 33};
   Rng rng(103);

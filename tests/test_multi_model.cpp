@@ -12,6 +12,7 @@
 #include <condition_variable>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/streaming_pipeline.hpp"
+#include "tensor/simd.hpp"
 
 namespace ocb::runtime {
 namespace {
@@ -50,27 +52,95 @@ Tensor frame_input(int frame) {
 
 // --- Engine batch path -----------------------------------------------------
 
-TEST(EngineBatch, BatchedMatchesSerial) {
-  const nn::Graph g = serving_graph();
-  nn::Engine batched(g, 7);
-  nn::Engine serial(g, 7);
-  // Plan both through the same planner so batched and serial execution
-  // compare like against like (identical per-layer algorithm choices).
-  batched.prepare({.max_batch = 5});
-  serial.prepare({.max_batch = 1});
+/// Every OpKind the engine interprets: strided and 1x1 convs, a
+/// residual add, dwconv, maxpool, upsample, concat, slice, deconv,
+/// global_avg_pool and a linear head.
+nn::Graph all_ops_graph() {
+  nn::Graph g;
+  const int in = g.input(3, 16, 16);
+  const int c1 = g.conv(in, 16, 3, 2, 1, nn::Act::kSilu, "c1");
+  const int c2 = g.conv(c1, 16, 3, 1, 1, nn::Act::kSilu, "c2");
+  const int add = g.add(c1, c2, "res");
+  const int dw = g.dwconv(add, 3, 1, 1, nn::Act::kRelu, "dw");
+  const int pw = g.conv(dw, 32, 1, 1, 0, nn::Act::kSilu, "pw");
+  const int pool = g.maxpool(pw, 2, 2, 0, "pool");
+  const int up = g.upsample2x(pool, "up");
+  const int cat = g.concat({up, add}, "cat");
+  const int sl = g.slice(cat, 8, 40, "slice");
+  const int de = g.deconv(sl, 8, nn::Act::kRelu, "deconv");
+  const int head = g.conv(de, 4, 1, 1, 0, nn::Act::kSigmoid, "head");
+  const int gap = g.global_avg_pool(cat, "gap");
+  const int fc = g.linear(gap, 64, nn::Act::kNone, "fc");
+  g.mark_output(head);
+  g.mark_output(fc);
+  return g;
+}
 
+TEST(EngineBatch, BatchedMatchesSerial) {
+  // run_batch must reproduce per-frame run() under every plan variant:
+  // weight storage × precision × fusion. Both go through the same
+  // engine, so they execute the same per-layer plan.
+  constexpr int kFrames = 5;
   std::vector<Tensor> inputs;
-  for (int f = 0; f < 5; ++f) inputs.push_back(frame_input(f));
-  const auto batch_out = batched.run_batch(inputs);
-  ASSERT_EQ(batch_out.size(), 5u);
-  for (int f = 0; f < 5; ++f) {
-    const auto ref = serial.run(inputs[static_cast<std::size_t>(f)]);
-    ASSERT_EQ(batch_out[static_cast<std::size_t>(f)].size(), ref.size());
-    for (std::size_t o = 0; o < ref.size(); ++o) {
-      const Tensor& got = batch_out[static_cast<std::size_t>(f)][o];
-      ASSERT_EQ(got.shape(), ref[o].shape());
-      EXPECT_TRUE(allclose(got, ref[o], 1e-4f))
-          << "frame " << f << " output " << o;
+  for (int f = 0; f < kFrames; ++f) inputs.push_back(frame_input(f));
+
+  struct Variant {
+    const char* name;
+    nn::Precision precision;
+    bool sparse;
+  };
+  const Variant variants[] = {
+      {"fp32", nn::Precision::kFp32, false},
+      {"fp16", nn::Precision::kFp16, false},
+      {"sparse", nn::Precision::kFp32, true},
+      {"sparse+fp16", nn::Precision::kFp16, true},
+      {"int8", nn::Precision::kInt8, false},
+  };
+  for (const nn::Graph& g : {serving_graph(), all_ops_graph()}) {
+    nn::Engine calibrator(g, 7);
+    const nn::QuantCalibration calib = calibrator.calibrate(inputs);
+    for (const Variant& v : variants) {
+      for (const bool fused : {false, true}) {
+        SCOPED_TRACE(std::string(v.name) + (fused ? " fused" : " unfused") +
+                     " over " + std::to_string(g.node_count()) + " nodes");
+        nn::PlanRequest request;
+        request.max_batch = kFrames;
+        request.precision = v.precision;
+        request.calibration = &calib;
+        if (v.sparse) {
+          request.sparsity.scheme = nn::SparsityScheme::kNm;
+          request.sparsity.min_params = 64;  // prune the small layers too
+        }
+        if (v.precision == nn::Precision::kFp16) {
+          // Model a weight-bandwidth-starved device, so the planner
+          // picks 16-bit panels even for these small layers.
+          request.planner.cost = nn::KernelCostModel::defaults(simd::active());
+          request.planner.cost.weight_gbps = 0.01;
+        }
+        // prepare() runs INT8 unfused whatever the request says.
+        request.fusion = {fused, fused, fused};
+        nn::Engine engine(g, 7);
+        const nn::ExecutionPlan& plan = engine.prepare(request);
+        if (v.sparse) EXPECT_GT(plan.sparse_nodes, 0);
+        if (v.precision == nn::Precision::kFp16) EXPECT_GT(plan.fp16_nodes, 0);
+        if (v.precision == nn::Precision::kInt8) EXPECT_GT(plan.quant_nodes, 0);
+
+        const auto view = engine.run_batch(inputs);
+        ASSERT_EQ(view.size(), static_cast<std::size_t>(kFrames));
+        // run() reuses the output slots the batch view aliases.
+        const std::vector<std::vector<Tensor>> batch_out(view.begin(),
+                                                         view.end());
+        for (int f = 0; f < kFrames; ++f) {
+          const auto ref = engine.run(inputs[static_cast<std::size_t>(f)]);
+          const auto& got = batch_out[static_cast<std::size_t>(f)];
+          ASSERT_EQ(got.size(), ref.size());
+          for (std::size_t o = 0; o < ref.size(); ++o) {
+            ASSERT_EQ(got[o].shape(), ref[o].shape());
+            EXPECT_TRUE(allclose(got[o], ref[o], 1e-4f))
+                << "frame " << f << " output " << o;
+          }
+        }
+      }
     }
   }
 }

@@ -7,6 +7,7 @@
 #include "core/rng.hpp"
 
 #include "models/registry.hpp"
+#include "nn/conv_plan.hpp"
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/placement.hpp"
@@ -60,7 +61,12 @@ TEST(CameraSource, FramesCarryGroundTruth) {
 
 TEST(HostExecutor, MeasuresRealExecution) {
   const nn::Graph g = models::build_model(models::ModelId::kYoloV8n, 0.1);
+  // Construction prepares the engine with the default plan, which
+  // consults the process-wide plan cache.
+  const nn::PlanCache::Stats before = nn::PlanCache::global().stats();
   HostExecutor executor(g, "v8n@host");
+  const nn::PlanCache::Stats after = nn::PlanCache::global().stats();
+  EXPECT_GT(after.hits + after.misses, before.hits + before.misses);
   const FrameResult result = executor.run(FrameContext{});
   EXPECT_GT(result.latency_ms, 0.0);
   EXPECT_EQ(result.stage, "v8n@host");
