@@ -69,6 +69,13 @@ correctness:
                    the option is off; an unguarded call site would ship
                    the corruption branch (and its atomic load) in every
                    production kernel dispatch (DESIGN.md §14).
+  zero-skip        value-dependent `== 0.0f) continue` skips in src/nn
+                   and src/tensor. Skipping zero operands makes a
+                   kernel's latency depend on the activations it is fed
+                   (ReLU-sparse vs dense inputs), which a benchmark that
+                   reports one latency per layer cannot explain. A skip
+                   driven by structure rather than values (e.g. a
+                   pruning mask) carries allow(zero-skip) and a reason.
   bench-baseline   bench/baselines/*.json must parse and carry the
                    top-level keys scripts/check_bench_regression.py
                    keys off, so a malformed baseline fails in lint, not
@@ -413,6 +420,29 @@ def check_im2col_materialize(rel: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
+# --- rule: zero-skip --------------------------------------------------------
+
+ZERO_SKIP_RE = re.compile(r"==\s*0\.0*f?\s*\)\s*continue\b")
+ZERO_SKIP_SCOPE = ("src/nn/", "src/tensor/")
+
+
+def check_zero_skip(rel: str, lines: list[str]) -> list[Finding]:
+    if not rel.startswith(ZERO_SKIP_SCOPE):
+        return []
+    findings = []
+    for i, raw in enumerate(lines, 1):
+        if not ZERO_SKIP_RE.search(strip_comments_and_strings(raw)):
+            continue
+        if "zero-skip" in allowed_rules(raw):
+            continue
+        findings.append(Finding(
+            "zero-skip", rel, i,
+            "value-dependent zero skip in an inference kernel — latency "
+            "would depend on the activations; compute unconditionally, "
+            "or mark a structural skip allow(zero-skip) with a reason"))
+    return findings
+
+
 # --- rule: simd-tu ----------------------------------------------------------
 
 SIMD_INTRINSIC_RE = re.compile(
@@ -570,6 +600,7 @@ FILE_CHECKS = [
     check_guarded_by_exists,
     check_include_hygiene,
     check_im2col_materialize,
+    check_zero_skip,
     check_simd_tu,
     check_sparse_dense_unpack,
     check_fault_hook_guard,
@@ -701,6 +732,10 @@ SELF_TEST_CASES = [
      ["float* col = im2col_scratch(input, geom, scratch);"]),
     ("im2col-materialize", "src/nn/bad.cpp",
      ["im2col_u8_quads(input, geom, zp, quads);"]),
+    ("zero-skip", "src/nn/bad.cpp",
+     ["          if (v == 0.0f) continue;"]),
+    ("zero-skip", "src/tensor/bad.cpp",
+     ["if (x ==0.0) continue;"]),
     ("simd-tu", "src/nn/bad.cpp",
      ["__m256 acc = _mm256_setzero_ps();"]),
     ("simd-tu", "src/tensor/bad.hpp",
@@ -754,6 +789,12 @@ SELF_TEST_CLEAN = [
      ["const float* col = im2col_scratch(input, geom, scratch);"]),
     ("src/nn/good.cpp",
      ["packer.pack(x0, x1, panel);  // fused stripe packing is the point"]),
+    ("src/tensor/good.cpp",
+     ["if (aval == 0.0f) continue;  // ocb-lint: allow(zero-skip) mask",
+      "if (ws.numel() == 0) continue;  // integer: not a value skip",
+      "// if (v == 0.0f) continue; in a comment is fine"]),
+    ("src/autograd/good.cpp",
+     ["if (aval == 0.0f) continue;  // training code is out of scope"]),
     ("src/tensor/sgemm_sparse_avx2.cpp",
      ["__m256 acc = _mm256_setzero_ps();",
       "#include <immintrin.h>"]),

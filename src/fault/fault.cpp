@@ -57,7 +57,9 @@ std::size_t FaultInjector::corrupt_engine(nn::Engine& engine) {
   const int n = engine.graph().node_count();
   for (int i = 0; i < n; ++i) {
     const nn::OpKind kind = engine.graph().node(i).kind;
-    if (kind != nn::OpKind::kConv && kind != nn::OpKind::kLinear) continue;
+    if (kind != nn::OpKind::kConv && kind != nn::OpKind::kDeconv &&
+        kind != nn::OpKind::kLinear)
+      continue;
     flips += corrupt_panels(engine.packed_panels(i));
   }
   return flips;

@@ -68,7 +68,7 @@ class FaultInjector {
   /// Corrupt one node's dense packed panels in place.
   std::size_t corrupt_panels(PackedA& panels);
 
-  /// Corrupt every conv/linear node's dense packed panels. Returns
+  /// Corrupt every conv/deconv/linear node's dense packed panels. Returns
   /// total bit flips across the engine.
   std::size_t corrupt_engine(nn::Engine& engine);
 

@@ -30,6 +30,35 @@ const float* masked_for_quant(const float* w, std::size_t m, std::size_t k,
   return scratch.data();
 }
 
+/// The packed GEMM behind a weighted node: the conv geometry it runs as
+/// and its output rows. A conv is itself; a deconv is its sub-pixel
+/// lowering, a 2×2 stride-1 pad-1 conv with one block of out_c rows per
+/// output phase (nn/ops.hpp, DESIGN.md §11); a linear layer is a 1×1
+/// conv over its flattened input. rows == 0 marks a node without packed
+/// weights.
+struct GemmNode {
+  ConvGeometry geom{};
+  int rows = 0;
+  explicit operator bool() const noexcept { return rows > 0; }
+};
+
+GemmNode gemm_node(const Graph& graph, int i) {
+  const Node& nd = graph.node(i);
+  if (nd.inputs.empty()) return {};
+  const FeatShape s = graph.shape(nd.inputs[0]);
+  switch (nd.kind) {
+    case OpKind::kConv:
+      return {{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride, nd.pad},
+              nd.out_c};
+    case OpKind::kDeconv:
+      return {{s.c, s.h, s.w, 2, 2, 1, 1}, 4 * nd.out_c};
+    case OpKind::kLinear:
+      return {{static_cast<int>(s.numel()), 1, 1, 1, 1, 1, 0}, nd.out_c};
+    default:
+      return {};
+  }
+}
+
 }  // namespace
 
 std::string ExecutionPlan::to_text(const Graph& graph) const {
@@ -56,7 +85,9 @@ std::string ExecutionPlan::to_text(const Graph& graph) const {
     // storage; they run the default dense GEMV otherwise.
     const bool linear_row = nd.kind == OpKind::kLinear &&
                             p.storage != WeightStorage::kDense;
-    if (nd.kind != OpKind::kConv && !linear_row) continue;
+    if (nd.kind != OpKind::kConv && nd.kind != OpKind::kDeconv &&
+        !linear_row)
+      continue;
     const FeatShape s = graph.shape(nd.inputs[0]);
     // Algo column, e.g. "winograd", "im2col/sparse", "direct/half".
     std::string algo = conv_algo_name(p.algo);
@@ -74,7 +105,8 @@ std::string ExecutionPlan::to_text(const Graph& graph) const {
       std::snprintf(line, sizeof(line),
                     "  %-16s %3dx%-3d c%-3d->%-3d k%d s%d  %-18s est %.3f ms"
                     " (im2col %.3f ms)\n",
-                    nd.name.empty() ? "conv" : nd.name.c_str(), s.h, s.w, s.c,
+                    nd.name.empty() ? op_name(nd.kind) : nd.name.c_str(),
+                    s.h, s.w, s.c,
                     nd.out_c, nd.kernel, nd.stride, algo.c_str(), p.est_ms,
                     p.est_im2col_ms);
     }
@@ -105,28 +137,23 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   }
 
   // Load-time plan: pre-size every activation (pointers stay stable for
-  // the precomputed concat argument lists below), pack conv/linear
-  // weight panels, and reserve the arena for the largest im2col
+  // the precomputed concat argument lists below), pack every GEMM
+  // node's weight panels, and reserve the arena for the largest im2col
   // lowering any node needs.
   std::size_t max_scratch_floats = 0;
   for (int i = 0; i < n; ++i) {
-    const Node& nd = graph_.node(i);
     const FeatShape out = graph_.shape(i);
     activations_[static_cast<std::size_t>(i)] =
         Tensor({1, out.c, out.h, out.w});
-    if (nd.kind == OpKind::kConv || nd.kind == OpKind::kLinear) {
-      repack(i);
-      integrity_nodes_.push_back(i);
-    }
-    if (nd.kind == OpKind::kConv) {
-      const FeatShape s = graph_.shape(nd.inputs[0]);
-      const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride,
-                              nd.pad};
-      max_scratch_floats =
-          std::max(max_scratch_floats, geom.col_rows() * geom.col_cols());
-    }
+    const GemmNode g = gemm_node(graph_, i);
+    if (!g) continue;
+    repack(i);
+    integrity_nodes_.push_back(i);
+    max_scratch_floats =
+        std::max(max_scratch_floats, g.geom.col_rows() * g.geom.col_cols());
   }
   scratch_.arena.reserve_bytes(max_scratch_floats * sizeof(float));
+  size_deconv_stage();
   resize_output_slots();
 
   // Baseline fusion plan (everything off: one buffer per node) and the
@@ -215,34 +242,26 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   const bool plan_linear = prune || request.precision == Precision::kFp16;
   bool algos_changed = false;
   for (int i = 0; i < n; ++i) {
-    const Node& nd = graph_.node(i);
+    const OpKind kind = graph_.node(i).kind;
     const std::size_t ui = static_cast<std::size_t>(i);
+    const GemmNode g = gemm_node(graph_, i);
     ConvPlan p{};
-    if (nd.kind == OpKind::kConv) {
-      const FeatShape s = graph_.shape(nd.inputs[0]);
+    if (g && (kind != OpKind::kLinear || plan_linear)) {
       ConvPlanKey key;
-      key.in_c = s.c;
-      key.in_h = s.h;
-      key.in_w = s.w;
-      key.kernel = nd.kernel;
-      key.stride = nd.stride;
-      key.pad = nd.pad;
-      key.out_c = nd.out_c;
-      key.batch = request.max_batch;
-      key.precision = request.precision;
-      key.level = level;
-      if (prune)
-        key.sparsity_pct =
-            layer_sparsity_pct(request.sparsity, weights_[ui].numel());
-      p = plan_conv(key, request.planner);
-    } else if (nd.kind == OpKind::kLinear && plan_linear) {
-      const FeatShape s = graph_.shape(nd.inputs[0]);
-      ConvPlanKey key;
-      key.in_c = static_cast<int>(s.numel());
-      key.in_h = 1;
-      key.in_w = 1;
-      key.out_c = nd.out_c;
-      key.precision = request.precision;
+      key.in_c = g.geom.in_c;
+      key.in_h = g.geom.in_h;
+      key.in_w = g.geom.in_w;
+      key.kernel = g.geom.kernel_h;
+      key.stride = g.geom.stride;
+      key.pad = g.geom.pad;
+      key.out_c = g.rows;
+      if (kind != OpKind::kLinear) key.batch = request.max_batch;
+      // There is no quantized deconv: under kInt8 it is planned (and
+      // runs) on the fp32 candidates.
+      key.precision = kind == OpKind::kDeconv &&
+                              request.precision == Precision::kInt8
+                          ? Precision::kFp32
+                          : request.precision;
       key.level = level;
       if (prune)
         key.sparsity_pct =
@@ -250,7 +269,7 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
       p = plan_conv(key, request.planner);
       // Only the storage decision applies — linear always runs the
       // packed GEMV, whatever algo the 1×1 enumeration preferred.
-      p.algo = ConvAlgo::kIm2colGemm;
+      if (kind == OpKind::kLinear) p.algo = ConvAlgo::kIm2colGemm;
     }
     plan_scratch_[ui] = p;
     // An active plan may carry a fusion-requested upgrade (materialized
@@ -318,10 +337,8 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   }
   sparsity_ = request.sparsity;
   half_format_ = request.half_format;
-  for (int i = 0; i < n; ++i) {
-    const OpKind kind = graph_.node(i).kind;
-    if (kind == OpKind::kConv || kind == OpKind::kLinear) pack_storage(i);
-  }
+  for (int i = 0; i < n; ++i)
+    if (gemm_node(graph_, i)) pack_storage(i);
 
   // Winograd nodes need their transformed weight panels and one arena
   // block for the V + M tile buffers of the hungriest layer.
@@ -330,13 +347,10 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
     const std::size_t ui = static_cast<std::size_t>(i);
     if (plan_.nodes[ui].algo != ConvAlgo::kWinograd) continue;
     if (panels_[ui].wino.empty()) pack_winograd(i);
-    const Node& nd = graph_.node(i);
-    const FeatShape s = graph_.shape(nd.inputs[0]);
-    const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride,
-                            nd.pad};
+    const GemmNode g = gemm_node(graph_, i);
     wino_need = std::max(
         wino_need,
-        winograd::scratch_floats(geom, nd.out_c, max_batch_) * sizeof(float));
+        winograd::scratch_floats(g.geom, g.rows, max_batch_) * sizeof(float));
   }
   if (wino_need != 0) {
     wino_need += 2 * Arena::kAlign;  // per-alloc alignment rounding
@@ -354,12 +368,9 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   for (int i = 0; i < n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     if (plan_.nodes[ui].algo != ConvAlgo::kIm2colFused) continue;
-    const Node& nd = graph_.node(i);
-    const FeatShape s = graph_.shape(nd.inputs[0]);
-    const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride,
-                            nd.pad};
-    fused_need = std::max(fused_need,
-                          fused_conv_scratch_floats(geom) * sizeof(float));
+    fused_need = std::max(
+        fused_need,
+        fused_conv_scratch_floats(gemm_node(graph_, i).geom) * sizeof(float));
   }
   if (fused_need != 0) {
     fused_need += 2 * Arena::kAlign;
@@ -393,7 +404,7 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   for (int i = 0; i < n; ++i) {
     const OpKind kind = graph_.node(i).kind;
     const ConvPlan& p = plan_.nodes[static_cast<std::size_t>(i)];
-    if (kind == OpKind::kConv || kind == OpKind::kLinear) {
+    if (gemm_node(graph_, i)) {
       if (p.storage == WeightStorage::kSparse ||
           p.storage == WeightStorage::kSparseHalf)
         ++plan_.sparse_nodes;
@@ -447,6 +458,8 @@ Engine::PanelState Engine::panel_state(int node) const {
   st.dense_crc = w.dense_crc;
   st.sparse_crc = w.sparse_crc;
   st.half_crc = w.half_crc;
+  st.dense_rows = w.dense.rows();
+  st.dense_cols = w.dense.cols();
   return st;
 }
 
@@ -498,19 +511,16 @@ void Engine::grow_batch_plan(int max_batch) {
 
   // One extra arena block holding both buffers conv2d_batched bump-
   // allocates (the widened column matrix and the channel-major staging
-  // result) for the hungriest conv in the graph, so batched runs never
-  // grow the arena.
+  // result) for the hungriest GEMM node in the graph, so batched runs
+  // never grow the arena.
   std::size_t need = 0;
   for (int i = 0; i < n; ++i) {
-    const Node& nd = graph_.node(i);
-    if (nd.kind != OpKind::kConv) continue;
-    const FeatShape s = graph_.shape(nd.inputs[0]);
-    const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel, nd.stride,
-                            nd.pad};
+    const GemmNode g = gemm_node(graph_, i);
+    if (!g) continue;
     const std::size_t n_tot =
-        geom.col_cols() * static_cast<std::size_t>(max_batch);
+        g.geom.col_cols() * static_cast<std::size_t>(max_batch);
     need = std::max(need,
-                    (geom.col_rows() + static_cast<std::size_t>(nd.out_c)) *
+                    (g.geom.col_rows() + static_cast<std::size_t>(g.rows)) *
                         n_tot * sizeof(float));
   }
   need += 2 * Arena::kAlign;  // per-alloc alignment rounding
@@ -518,22 +528,44 @@ void Engine::grow_batch_plan(int max_batch) {
     scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() + need);
     batch_scratch_bytes_ = need;
   }
+  size_deconv_stage();
+}
+
+void Engine::size_deconv_stage() {
+  std::size_t floats = 0;
+  std::size_t rows = 0;
+  for (int i = 0; i < graph_.node_count(); ++i) {
+    if (graph_.node(i).kind != OpKind::kDeconv) continue;
+    const GemmNode g = gemm_node(graph_, i);
+    rows = std::max(rows, static_cast<std::size_t>(g.rows));
+    floats = std::max(floats, static_cast<std::size_t>(g.rows) *
+                                  g.geom.col_cols());
+  }
+  deconv_stage_.resize(floats * static_cast<std::size_t>(max_batch_));
+  deconv_bias_.resize(rows);
+}
+
+const float* Engine::gemm_matrix(int node,
+                                 std::vector<float>& scratch) const {
+  const std::size_t i = static_cast<std::size_t>(node);
+  const Node& nd = graph_.node(node);
+  if (nd.kind != OpKind::kDeconv) return weights_[i].data();
+  const int in_c = graph_.shape(nd.inputs[0]).c;
+  scratch.resize(static_cast<std::size_t>(16) * in_c * nd.out_c);
+  deconv_phase_weights(weights_[i].data(), in_c, nd.out_c, scratch.data());
+  return scratch.data();
 }
 
 void Engine::repack(int node) {
   const std::size_t i = static_cast<std::size_t>(node);
   const Node& nd = graph_.node(node);
-  const FeatShape in0 = graph_.shape(nd.inputs[0]);
   NodeWeights& w = panels_[i];
-  const float* master = weights_[i].data();
-  if (nd.kind == OpKind::kConv) {
-    w.dense.pack(master, static_cast<std::size_t>(nd.out_c),
-                 static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel);
-  } else if (nd.kind == OpKind::kLinear) {
-    w.dense.pack(master, static_cast<std::size_t>(nd.out_c), in0.numel());
-  }
-  const std::size_t m = w.dense.rows();
-  const std::size_t k = w.dense.cols();
+  const GemmNode g = gemm_node(graph_, node);
+  std::vector<float> lowered;
+  const float* master = gemm_matrix(node, lowered);
+  const std::size_t m = static_cast<std::size_t>(g.rows);
+  const std::size_t k = g.geom.col_rows();
+  w.dense.pack(master, m, k);
   // Mutated weights invalidate the int8 panels too; requantize against
   // the existing calibration (activation ranges are weight-independent).
   if (i < qlayers_.size() && qlayers_[i].valid()) {
@@ -568,27 +600,28 @@ void Engine::repack(int node) {
 void Engine::pack_storage(int node) {
   const std::size_t i = static_cast<std::size_t>(node);
   const WeightStorage st = plan_.nodes[i].storage;
-  if (st == WeightStorage::kDense) return;
   NodeWeights& w = panels_[i];
+  const bool want_half = st == WeightStorage::kSparseHalf;
+  // Current panels match the plan (weights repack via repack()).
+  if (st == WeightStorage::kDense ||
+      (st == WeightStorage::kHalf && !w.half.empty()) ||
+      (st != WeightStorage::kHalf && !w.sparse.empty() &&
+       w.sparse.half() == want_half))
+    return;
   const std::size_t m = w.dense.rows();
   const std::size_t k = w.dense.cols();
-  const float* master = weights_[i].data();
+  std::vector<float> lowered;
+  const float* master = gemm_matrix(node, lowered);
   if (st == WeightStorage::kHalf) {
-    if (w.half.empty()) {
-      w.half.pack(master, m, k, half_format_);
-      w.record_checksums();
-    }
-    return;
-  }
-  const bool want_half = st == WeightStorage::kSparseHalf;
-  if (!w.sparse.empty() && w.sparse.half() == want_half)
-    return;  // current panels match the plan (weights repack via repack())
-  const std::vector<std::uint8_t> mask =
-      magnitude_mask(master, m, k, sparsity_);
-  if (want_half) {
-    w.sparse.pack(master, m, k, mask.data(), half_format_);
+    w.half.pack(master, m, k, half_format_);
   } else {
-    w.sparse.pack(master, m, k, mask.data());
+    const std::vector<std::uint8_t> mask =
+        magnitude_mask(master, m, k, sparsity_);
+    if (want_half) {
+      w.sparse.pack(master, m, k, mask.data(), half_format_);
+    } else {
+      w.sparse.pack(master, m, k, mask.data());
+    }
   }
   w.record_checksums();
 }
@@ -858,6 +891,38 @@ void Engine::forward(std::span<const Tensor> inputs) {
     auto dst_at = [&](int b) -> float* {
       return dst_base + static_cast<std::size_t>(b) * dst_stride;
     };
+    // The node's planned fp32 conv GEMM (a conv, or a deconv's lowered
+    // phase conv) over every image of input 0.
+    auto run_conv = [&](const ConvGeometry& geom, const float* conv_bias,
+                        Act act, float* out, std::size_t out_stride,
+                        EpiMode mode) {
+      const float* src = src_at(0, 0);
+      const std::size_t sstride =
+          act_stride_[static_cast<std::size_t>(nd.inputs[0])];
+      switch (plan_.nodes[ui].algo) {
+        case ConvAlgo::kWinograd:
+          conv2d_winograd(src, sstride, batch, geom, w.wino, conv_bias, act,
+                          out, out_stride, scratch_, mode);
+          break;
+        case ConvAlgo::kIm2colFused:
+          conv2d_fused(src, sstride, batch, geom, w.dense, conv_bias, act,
+                       out, out_stride, scratch_, mode);
+          break;
+        case ConvAlgo::kDirectGemm:
+          w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
+            conv2d_direct1x1(src, sstride, batch, geom, panels, conv_bias,
+                             act, out, out_stride, mode);
+          });
+          break;
+        default:
+          // Materialized im2col paths (never residual-fused).
+          w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
+            conv2d_batched(src, sstride, batch, geom, panels, conv_bias, act,
+                           out, out_stride, scratch_);
+          });
+          break;
+      }
+    };
 
     switch (nd.kind) {
       case OpKind::kInput:
@@ -866,11 +931,7 @@ void Engine::forward(std::span<const Tensor> inputs) {
                       dst_at(b));
         break;
       case OpKind::kConv: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
-        const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
-                                nd.stride, nd.pad};
-        const std::size_t sstride =
-            act_stride_[static_cast<std::size_t>(nd.inputs[0])];
+        const ConvGeometry geom = gemm_node(graph_, i).geom;
         const ConvAlgo algo = plan_.nodes[ui].algo;
         if (int8 &&
             (algo == ConvAlgo::kIm2colQuant ||
@@ -914,29 +975,7 @@ void Engine::forward(std::span<const Tensor> inputs) {
                           cn, outp + static_cast<std::size_t>(b) * out_stride);
           }
         }
-        switch (algo) {
-          case ConvAlgo::kWinograd:
-            conv2d_winograd(src_at(0, 0), sstride, batch, geom, w.wino, bias,
-                            act, outp, out_stride, scratch_, mode);
-            break;
-          case ConvAlgo::kIm2colFused:
-            conv2d_fused(src_at(0, 0), sstride, batch, geom, w.dense, bias,
-                         act, outp, out_stride, scratch_, mode);
-            break;
-          case ConvAlgo::kDirectGemm:
-            w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
-              conv2d_direct1x1(src_at(0, 0), sstride, batch, geom, panels,
-                               bias, act, outp, out_stride, mode);
-            });
-            break;
-          default:
-            // Materialized im2col paths (never residual-fused).
-            w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
-              conv2d_batched(src_at(0, 0), sstride, batch, geom, panels,
-                             bias, nd.act, outp, out_stride, scratch_);
-            });
-            break;
-        }
+        run_conv(geom, bias, act, outp, out_stride, mode);
         break;
       }
       case OpKind::kDwConv: {
@@ -949,10 +988,23 @@ void Engine::forward(std::span<const Tensor> inputs) {
         break;
       }
       case OpKind::kDeconv: {
-        const FeatShape s = graph_.shape(nd.inputs[0]);
+        // Sub-pixel lowering (nn/ops.hpp): the planned phase conv, with
+        // the deconv's bias repeated per phase and its activation in the
+        // epilogue, stages a [4·out_c × (H+1)·(W+1)] result per image;
+        // the interleave copies it into the 2× output. The bias is
+        // re-staged every pass because bias() hands out the master.
+        const GemmNode g = gemm_node(graph_, i);
+        const std::size_t out_c = static_cast<std::size_t>(nd.out_c);
+        for (std::size_t p = 0; p < 4; ++p)
+          std::copy_n(bias, out_c, deconv_bias_.data() + p * out_c);
+        const std::size_t stage_stride =
+            static_cast<std::size_t>(g.rows) * g.geom.col_cols();
+        run_conv(g.geom, deconv_bias_.data(), nd.act, deconv_stage_.data(),
+                 stage_stride, EpiMode::kStore);
         for (int b = 0; b < batch; ++b)
-          deconv2d_2x(src_at(0, b), s.c, s.h, s.w, nd.out_c,
-                      weights_[ui].data(), bias, nd.act, dst_at(b));
+          deconv_interleave(
+              deconv_stage_.data() + static_cast<std::size_t>(b) * stage_stride,
+              nd.out_c, g.geom.in_h, g.geom.in_w, dst_at(b));
         break;
       }
       case OpKind::kMaxPool: {

@@ -18,11 +18,12 @@
 // run_batch() a batched one, except under INT8, where run_batch() loops
 // the pass once per image (the u8 buffers are sized for one image).
 //
-// Steady-state frame path: every conv/linear weight matrix is repacked
-// once at load time into PackedA tile panels (re-done lazily if a test
-// or trainer mutates weight()), activations are pre-allocated from the
-// graph's shape plan, concat argument lists are precomputed, and conv
-// scratch comes from an arena reserved at prepare time — so run() and
+// Steady-state frame path: every conv/deconv/linear weight matrix is
+// repacked once at load time into PackedA tile panels (re-done lazily
+// if a test or trainer mutates weight()), activations are pre-allocated
+// from the graph's shape plan, concat argument lists are precomputed,
+// and conv scratch comes from an arena reserved at prepare time (a
+// deconv runs as its lowered conv, see nn/ops.hpp) — so run() and
 // a re-prepare() that changes nothing perform no heap allocation after
 // warm-up (see scratch_arena() for the test hook).
 #pragma once
@@ -186,7 +187,8 @@ class Engine {
   /// The active fusion/memory plan (default when fusion is off).
   const MemoryPlan& fusion_plan() const noexcept { return fusion_; }
 
-  /// Direct access to a conv/linear node's weights (tests & trainer).
+  /// Direct access to a conv/deconv/linear node's weights (tests &
+  /// trainer).
   /// Mutating the returned tensor marks the node's packed panels dirty;
   /// they are repacked (and re-transformed, for Winograd-planned
   /// nodes) on the next run().
@@ -223,7 +225,7 @@ class Engine {
   /// Direct access to a node's packed fp32 panels for fault injection:
   /// writes through PackedA::mutable_data() bypass dirty-weight
   /// tracking, modelling silent memory corruption the checksum layer
-  /// must catch. Node must be conv/linear (non-empty panels).
+  /// must catch. Node must be conv/deconv/linear (non-empty panels).
   PackedA& packed_panels(int node);
 
   /// The CRC32 recorded for a node's dense panels at pack time (0 when
@@ -246,6 +248,8 @@ class Engine {
     std::uint32_t dense_crc = 0;
     std::uint32_t sparse_crc = 0;
     std::uint32_t half_crc = 0;
+    std::size_t dense_rows = 0;  ///< shape of the packed dense matrix
+    std::size_t dense_cols = 0;
   };
   PanelState panel_state(int node) const;
 
@@ -284,7 +288,9 @@ class Engine {
   /// the CRC32 recorded for each at pack time (0 = format not packed)
   /// and whether weight() was handed out since the last pack.
   struct NodeWeights {
-    PackedA dense;  ///< conv/linear panels (always packed)
+    /// The node's GEMM weight matrix (always packed): a conv's or
+    /// linear's weights as stored, a deconv's lowered phase matrix.
+    PackedA dense;
     /// Compressed panels, built lazily when the plan assigns the node
     /// kSparse/kSparseHalf or kHalf storage (empty otherwise).
     PackedSparseA sparse;
@@ -320,6 +326,12 @@ class Engine {
   /// living at act_base_[i] + b·act_stride_[i]. INT8 runs batch 1 only.
   void forward(std::span<const Tensor> inputs);
   void repack(int node);
+  /// The row-major weight matrix `node`'s panels pack: the master
+  /// tensor, or for a deconv its phase matrix written into `scratch`.
+  const float* gemm_matrix(int node, std::vector<float>& scratch) const;
+  /// Size deconv_stage_ for max_batch_ images of the largest deconv,
+  /// and deconv_bias_ for its phase rows.
+  void size_deconv_stage();
   /// Verify one node's panels; re-pack from master weights on mismatch
   /// when `recover`. Returns true when all live panels matched.
   bool verify_node(int node, bool recover);
@@ -363,6 +375,12 @@ class Engine {
   std::size_t batch_scratch_bytes_ = 0;  ///< arena block already reserved
   std::size_t wino_scratch_bytes_ = 0;   ///< ditto, winograd V+M buffers
   std::size_t fused_scratch_bytes_ = 0;  ///< ditto, fused stripe panels
+  /// A deconv's lowered conv result, staged for the interleave. Held
+  /// apart from the conv arena, which every conv call rewinds.
+  std::vector<float> deconv_stage_;
+  /// The deconv's bias repeated once per output phase (the lowered
+  /// conv's per-row epilogue bias).
+  std::vector<float> deconv_bias_;
 
   /// Active fusion/memory plan and the per-node activation views it
   /// induces: node i's image b lives at act_base_[i] + b*act_stride_[i]

@@ -277,45 +277,46 @@ void dwconv2d(const float* input, const ConvGeometry& geom,
   }
 }
 
-void deconv2d_2x(const float* input, int in_c, int in_h, int in_w, int out_c,
-                 const float* weight, const float* bias, Act act,
-                 float* output) {
-  const int out_h = in_h * 2;
-  const int out_w = in_w * 2;
-  const std::size_t out_plane = static_cast<std::size_t>(out_h) * out_w;
-  const std::size_t total = static_cast<std::size_t>(out_c) * out_plane;
-  // Initialise with bias, then scatter-add input contributions.
-  for (int oc = 0; oc < out_c; ++oc) {
-    const float b = bias != nullptr ? bias[oc] : 0.0f;
-    std::fill_n(output + static_cast<std::size_t>(oc) * out_plane, out_plane, b);
-  }
-  constexpr int kK = 4, kStride = 2, kPad = 1;
-  const std::size_t in_plane = static_cast<std::size_t>(in_h) * in_w;
-  for (int ic = 0; ic < in_c; ++ic) {
-    const float* src = input + static_cast<std::size_t>(ic) * in_plane;
-    for (int oc = 0; oc < out_c; ++oc) {
-      const float* w =
-          weight + ((static_cast<std::size_t>(ic) * out_c) + oc) * kK * kK;
-      float* dst = output + static_cast<std::size_t>(oc) * out_plane;
-      for (int y = 0; y < in_h; ++y) {
-        for (int x = 0; x < in_w; ++x) {
-          const float v = src[static_cast<std::size_t>(y) * in_w + x];
-          if (v == 0.0f) continue;
-          for (int ky = 0; ky < kK; ++ky) {
-            const int oy = y * kStride - kPad + ky;
-            if (oy < 0 || oy >= out_h) continue;
-            for (int kx = 0; kx < kK; ++kx) {
-              const int ox = x * kStride - kPad + kx;
-              if (ox < 0 || ox >= out_w) continue;
-              dst[static_cast<std::size_t>(oy) * out_w + ox] +=
-                  v * w[ky * kK + kx];
-            }
-          }
+void deconv_phase_weights(const float* weight, int in_c, int out_c,
+                          float* phase) {
+  const std::size_t k = static_cast<std::size_t>(in_c) * 4;
+  for (int py = 0; py < 2; ++py) {
+    for (int px = 0; px < 2; ++px) {
+      for (int o = 0; o < out_c; ++o) {
+        const int p = (py * 2 + px) * out_c + o;
+        float* row = phase + static_cast<std::size_t>(p) * k;
+        for (int c = 0; c < in_c; ++c) {
+          const float* w =
+              weight + (static_cast<std::size_t>(c) * out_c + o) * 16;
+          for (int ty = 0; ty < 2; ++ty)
+            for (int tx = 0; tx < 2; ++tx)
+              row[c * 4 + ty * 2 + tx] =
+                  w[(3 - py - 2 * ty) * 4 + (3 - px - 2 * tx)];
         }
       }
     }
   }
-  apply_activation(act, output, total);
+}
+
+void deconv_interleave(const float* conv, int out_c, int in_h, int in_w,
+                       float* output) {
+  const std::size_t grid_w = static_cast<std::size_t>(in_w) + 1;
+  const std::size_t grid = (static_cast<std::size_t>(in_h) + 1) * grid_w;
+  const std::size_t out_w = static_cast<std::size_t>(in_w) * 2;
+  for (int o = 0; o < out_c; ++o) {
+    float* dst = output + static_cast<std::size_t>(o) * in_h * 2 * out_w;
+    for (int py = 0; py < 2; ++py) {
+      for (int px = 0; px < 2; ++px) {
+        const float* src =
+            conv + static_cast<std::size_t>((py * 2 + px) * out_c + o) * grid;
+        for (int y = 0; y < in_h; ++y) {
+          const float* s = src + static_cast<std::size_t>(y + py) * grid_w + px;
+          float* d = dst + static_cast<std::size_t>(2 * y + py) * out_w + px;
+          for (int x = 0; x < in_w; ++x) d[2 * x] = s[x];
+        }
+      }
+    }
+  }
 }
 
 void maxpool2d(const float* input, const ConvGeometry& geom, float* output) {

@@ -122,11 +122,27 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
 void dwconv2d(const float* input, const ConvGeometry& geom,
               const float* weight, const float* bias, Act act, float* output);
 
-/// Transposed conv, kernel 4, stride 2, pad 1 (exact 2× upsampling).
-/// `weight` is [in_c × out_c × 4 × 4].
-void deconv2d_2x(const float* input, int in_c, int in_h, int in_w, int out_c,
-                 const float* weight, const float* bias, Act act,
-                 float* output);
+// Transposed conv (kDeconv: kernel 4, stride 2, pad 1 — exact 2×
+// upsampling) as a sub-pixel conv (ESPCN, arXiv:1609.05158). Over an
+// in_c×H×W input it equals one 2×2 stride-1 pad-1 conv with 4·out_c
+// output rows on the (H+1)×(W+1) grid: row p·out_c + o, p = 2·py + px,
+// holds output phase (py, px) of channel o, and
+// out[o][2y+py][2x+px] = conv[p·out_c+o][y+py][x+px]. The engine plans
+// and runs that conv like any other (DESIGN.md §11); these are its two
+// ends.
+
+/// Writes the lowered conv's row-major [4·out_c × 4·in_c] weight matrix
+/// from a [in_c × out_c × 4 × 4] deconv weight: row p·out_c + o, column
+/// (c, ty, tx) holds W[c][o][3−py−2ty][3−px−2tx].
+void deconv_phase_weights(const float* weight, int in_c, int out_c,
+                          float* phase);
+
+/// Interleaves one image of the lowered conv's [4·out_c × (H+1)·(W+1)]
+/// result into the deconv's [out_c × 2H × 2W] output. Bias and
+/// activation belong to the conv's epilogue (the bias once per phase),
+/// so this is a pure copy.
+void deconv_interleave(const float* conv, int out_c, int in_h, int in_w,
+                       float* output);
 
 void maxpool2d(const float* input, const ConvGeometry& geom, float* output);
 

@@ -72,11 +72,13 @@ double gemm_storage_ms(std::size_t m, std::size_t k, std::size_t n,
   const double ramp_k =
       static_cast<double>(k) / (static_cast<double>(k) + 8.0);
   // n-direction efficiency: column-tile quantization times short-loop
-  // ramp. These model the *dense* kernel, whose remainder columns fall
-  // to a scalar latency chain. The compressed kernels' tails instead
-  // flip lanes across the row tile (see sgemm_sparse_avx2.cpp), so on
-  // GEMV-like shapes they keep a large fraction of peak — floor their
-  // efficiency rather than inheriting the dense collapse.
+  // ramp. These model the *dense* kernel, which runs its remainder
+  // columns as a masked 8-lane tile (gemm_avx2.cpp), so a narrow n
+  // wastes the masked-off lanes of 16-column tiles. The compressed
+  // kernels' tails instead flip lanes across the row tile (see
+  // sgemm_sparse_avx2.cpp), so on GEMV-like shapes they keep a large
+  // fraction of peak — floor their efficiency rather than inheriting
+  // the dense collapse.
   double n_eff = (static_cast<double>(n) / tile_n) *
                  (static_cast<double>(n) / (static_cast<double>(n) + 48.0));
   if (half || sparse) n_eff = std::max(n_eff, 0.25);

@@ -44,18 +44,49 @@ namespace {
 constexpr std::size_t MR = PackedA::kRowTile;  // 6
 constexpr std::size_t kColBlock = 512;         // B stripe kept cache-hot
 
+/// Lane mask enabling the first `cols` (< 8) columns of an 8-wide tile.
+inline __m256i tail_mask(std::size_t cols) noexcept {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// Eight consecutive columns: all of them, or only the lanes `mask`
+/// enables (masked-off lanes are neither read nor written).
+template <bool Masked>
+inline __m256 load8(const float* p, [[maybe_unused]] __m256i mask) noexcept {
+  if constexpr (Masked) {
+    return _mm256_maskload_ps(p, mask);
+  } else {
+    return _mm256_loadu_ps(p);
+  }
+}
+
+template <bool Masked>
+inline void store8(float* p, [[maybe_unused]] __m256i mask,
+                   __m256 v) noexcept {
+  if constexpr (Masked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
 /// One register tile: rows [i0, i0+mr) × columns [j, j + 8·NV).
 /// `ap` is the panel (k-major, MR floats per k); B rows stride `ldb`,
 /// C rows stride `ldc` (equal for the classic call, distinct on the
 /// fused stripe path). Accumulates over the full K extent, combines
 /// with C per the epilogue mode in registers, then writes each live row
-/// back exactly once.
-template <int NV>
+/// back exactly once. The Masked variant is the n % 8 column tail: B
+/// and C move through `mask`, so lanes past the last column are never
+/// read or written — the same vector FMA chain and epilogue as a full
+/// tile, with no scalar remainder loop.
+template <int NV, bool Masked = false>
 inline void kernel_tile(const float* ap, const float* b, float* c,
                         std::size_t ldb, std::size_t ldc, std::size_t k,
                         std::size_t mr, bool accumulate,
-                        const float* bias_panel, EpiAct act,
-                        EpiMode mode) noexcept {
+                        const float* bias_panel, EpiAct act, EpiMode mode,
+                        __m256i mask = _mm256_setzero_si256()) noexcept {
+  static_assert(!Masked || NV == 1, "the masked tail is one vector wide");
   __m256 acc[MR][NV];
   for (std::size_t r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
@@ -63,7 +94,7 @@ inline void kernel_tile(const float* ap, const float* b, float* c,
   const float* bp = b;
   for (std::size_t kk = 0; kk < k; ++kk) {
     __m256 bv[NV];
-    for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+    for (int v = 0; v < NV; ++v) bv[v] = load8<Masked>(bp + 8 * v, mask);
     const float* apk = ap + kk * MR;
     for (std::size_t r = 0; r < MR; ++r) {
       const __m256 av = _mm256_broadcast_ss(apk + r);
@@ -81,54 +112,23 @@ inline void kernel_tile(const float* ap, const float* b, float* c,
     for (int v = 0; v < NV; ++v) {
       __m256 val = acc[r][v];
       if (accumulate) {
-        val = _mm256_add_ps(_mm256_loadu_ps(crow + 8 * v), val);
+        val = _mm256_add_ps(load8<Masked>(crow + 8 * v, mask), val);
       } else {
         switch (mode) {
           case EpiMode::kStore:
             val = apply_act256(_mm256_add_ps(val, bias), act);
             break;
           case EpiMode::kAccThenAct:
-            val = _mm256_add_ps(_mm256_loadu_ps(crow + 8 * v), val);
+            val = _mm256_add_ps(load8<Masked>(crow + 8 * v, mask), val);
             val = apply_act256(_mm256_add_ps(val, bias), act);
             break;
           case EpiMode::kActThenAcc:
             val = apply_act256(_mm256_add_ps(val, bias), act);
-            val = _mm256_add_ps(_mm256_loadu_ps(crow + 8 * v), val);
+            val = _mm256_add_ps(load8<Masked>(crow + 8 * v, mask), val);
             break;
         }
       }
-      _mm256_storeu_ps(crow + 8 * v, val);
-    }
-  }
-}
-
-/// Scalar remainder for the final n % 8 columns of a panel.
-void kernel_tail(const float* ap, const float* b, float* c, std::size_t ldb,
-                 std::size_t ldc, std::size_t k, std::size_t cols,
-                 std::size_t mr, bool accumulate, const float* bias_panel,
-                 EpiAct act, EpiMode mode) noexcept {
-  for (std::size_t r = 0; r < mr; ++r) {
-    for (std::size_t j = 0; j < cols; ++j) {
-      float acc = 0.0f;
-      for (std::size_t kk = 0; kk < k; ++kk)
-        acc += ap[kk * MR + r] * b[kk * ldb + j];
-      float* out = c + r * ldc + j;
-      if (accumulate) {
-        *out += acc;
-        continue;
-      }
-      if (bias_panel != nullptr) acc += bias_panel[r];
-      switch (mode) {
-        case EpiMode::kStore:
-          *out = apply_epi_act(act, acc);
-          break;
-        case EpiMode::kAccThenAct:
-          *out = apply_epi_act(act, *out + acc);
-          break;
-        case EpiMode::kActThenAcc:
-          *out += apply_epi_act(act, acc);
-          break;
-      }
+      store8<Masked>(crow + 8 * v, mask, val);
     }
   }
 }
@@ -170,8 +170,9 @@ void packed_driver_avx2(const PackedA& a, const float* b, std::size_t ldb,
         kernel_tile<1>(ap, b + j, cpanel + j, ldb, ldc, k, mr, accumulate,
                        bias_panel, act, mode);
       if (j < jc_end)
-        kernel_tail(ap, b + j, cpanel + j, ldb, ldc, k, jc_end - j, mr,
-                    accumulate, bias_panel, act, mode);
+        kernel_tile<1, true>(ap, b + j, cpanel + j, ldb, ldc, k, mr,
+                             accumulate, bias_panel, act, mode,
+                             tail_mask(jc_end - j));
     };
     if (parallel && panels > 1) {
       parallel_for(0, panels, panel_job, /*grain=*/1);

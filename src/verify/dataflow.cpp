@@ -8,14 +8,17 @@
 // raw quantized bytes — the "dropped dequant" silent-corruption
 // class); compressed weight storage only on kernels that read it and
 // only with the matching packed panels live; Winograd/direct only on
-// the geometries their transforms are derived for; shapes re-inferred
-// from first principles on every conv/add/concat edge. Coverage closes
+// the geometries their transforms are derived for, and a deconv only
+// on the im2col GEMMs its sub-pixel lowering runs as; packed panel
+// shapes and output shapes re-inferred from first principles on every
+// conv/deconv/linear/add/concat node. Coverage closes
 // the loop: a single well-formed input, every output actually
 // produced, every live panel checksummed, and the plan's summary
 // counters in agreement with its per-node contents (counter drift is
 // how a stale or half-rebuilt plan escapes).
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "verify/verify.hpp"
@@ -23,6 +26,34 @@
 namespace ocb::verify::detail {
 
 namespace {
+
+/// True for the node kinds that carry packed GEMM weight panels.
+bool weighted(nn::OpKind kind) noexcept {
+  return kind == nn::OpKind::kConv || kind == nn::OpKind::kDeconv ||
+         kind == nn::OpKind::kLinear;
+}
+
+/// The [rows × cols] weight matrix a weighted node's dense panels must
+/// hold, re-derived from the node alone: a conv's out_c × in_c·k·k, a
+/// linear's out × flattened-input, and a deconv's sub-pixel phase
+/// matrix — its 4×4 stride-2 kernel splits into four 2×2 phase
+/// kernels, so 4·out_c rows (one block per output phase) over 4·in_c
+/// columns (each input channel's 2×2 taps).
+std::pair<std::size_t, std::size_t> panel_dims(const nn::Graph& graph,
+                                                int i) {
+  const nn::Node& nd = graph.node(i);
+  const nn::FeatShape in0 = graph.shape(nd.inputs[0]);
+  const std::size_t out_c = static_cast<std::size_t>(nd.out_c);
+  const std::size_t in_c = static_cast<std::size_t>(in0.c);
+  switch (nd.kind) {
+    case nn::OpKind::kConv:
+      return {out_c, in_c * static_cast<std::size_t>(nd.kernel * nd.kernel)};
+    case nn::OpKind::kDeconv:
+      return {4 * out_c, 4 * in_c};
+    default:
+      return {out_c, in0.numel()};
+  }
+}
 
 bool quant_algo(nn::ConvAlgo algo) noexcept {
   return algo == nn::ConvAlgo::kIm2colQuant ||
@@ -96,11 +127,20 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
     const std::size_t ui = static_cast<std::size_t>(i);
     const nn::Node& nd = snap.graph.node(i);
     const nn::ConvPlan& p = snap.plan.nodes[ui];
-    const bool weighted =
-        nd.kind == nn::OpKind::kConv || nd.kind == nn::OpKind::kLinear;
+    const bool has_panels = weighted(nd.kind);
 
-    // Algorithm/geometry legality (convs only — the engine dispatches
-    // plan algos for kConv nodes alone).
+    // Algorithm/geometry legality. A deconv runs as its lowered 2×2
+    // stride-1 conv in fp32: no Winograd transform (3×3 only), no
+    // direct path (1×1 only) and no quantized kernel computes it —
+    // only the im2col GEMMs, materialized or fused.
+    if (nd.kind == nn::OpKind::kDeconv &&
+        p.algo != nn::ConvAlgo::kIm2colGemm &&
+        p.algo != nn::ConvAlgo::kIm2colFused) {
+      add_finding(report, CheckId::kShapeLegality, i,
+                  std::string(nn::conv_algo_name(p.algo)) +
+                      " planned for a deconv — its sub-pixel lowering "
+                      "runs on the fp32 im2col GEMMs only");
+    }
     if (nd.kind == nn::OpKind::kConv) {
       if (quant_algo(p.algo) && !int8) {
         add_finding(report, CheckId::kPrecisionBoundary, i,
@@ -133,7 +173,7 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
 
     // Storage typing.
     if (p.storage != nn::WeightStorage::kDense) {
-      if (!weighted) {
+      if (!has_panels) {
         add_finding(report, CheckId::kStorageTyping, i,
                     "compressed weight storage on a node with no "
                     "weights");
@@ -141,7 +181,7 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
         add_finding(report, CheckId::kStorageTyping, i,
                     "compressed storage under kInt8 — the quantized "
                     "kernels read dense panels");
-      } else if (nd.kind == nn::OpKind::kConv &&
+      } else if (nd.kind != nn::OpKind::kLinear &&
                  p.algo != nn::ConvAlgo::kIm2colGemm &&
                  p.algo != nn::ConvAlgo::kDirectGemm) {
         add_finding(report, CheckId::kStorageTyping, i,
@@ -152,8 +192,16 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
                         "compressed panels");
       }
     }
-    if (!snap.panels.empty() && weighted) {
+    if (!snap.panels.empty() && has_panels) {
       const PanelRecord& pr = snap.panels[ui];
+      const auto [rows, cols] = panel_dims(snap.graph, i);
+      if (pr.dense && (pr.dense_rows != rows || pr.dense_cols != cols)) {
+        add_finding(report, CheckId::kShapeLegality, i,
+                    "packed panels hold a " + std::to_string(pr.dense_rows) +
+                        "×" + std::to_string(pr.dense_cols) +
+                        " matrix, the node's GEMM needs " +
+                        std::to_string(rows) + "×" + std::to_string(cols));
+      }
       switch (p.storage) {
         case nn::WeightStorage::kDense:
           break;
@@ -201,6 +249,17 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
         add_finding(report, CheckId::kShapeLegality, i,
                     "recorded conv output shape disagrees with the "
                     "re-derived geometry");
+      }
+    } else if (nd.kind == nn::OpKind::kDeconv && !nd.inputs.empty()) {
+      const nn::FeatShape in0 = snap.graph.shape(nd.inputs[0]);
+      if (nd.kernel != 4 || nd.stride != 2 || nd.pad != 1) {
+        add_finding(report, CheckId::kShapeLegality, i,
+                    "deconv is not 4×4 stride 2 pad 1 — the sub-pixel "
+                    "phase split only holds for that geometry");
+      }
+      if (out.c != nd.out_c || out.h != 2 * in0.h || out.w != 2 * in0.w) {
+        add_finding(report, CheckId::kShapeLegality, i,
+                    "recorded deconv output shape is not {out_c, 2H, 2W}");
       }
     } else if (nd.kind == nn::OpKind::kAdd && nd.inputs.size() == 2) {
       if (!(snap.graph.shape(nd.inputs[0]) == out) ||
@@ -317,7 +376,7 @@ void check_coverage(const PlanSnapshot& snap, Report& report) {
       const std::size_t ui = static_cast<std::size_t>(i);
       const nn::OpKind kind = snap.graph.node(i).kind;
       const PanelRecord& pr = snap.panels[ui];
-      if (kind == nn::OpKind::kConv || kind == nn::OpKind::kLinear) {
+      if (weighted(kind)) {
         if (!pr.dense || pr.dense_crc == 0) {
           add_finding(report, CheckId::kChecksumCoverage, i,
                       pr.dense ? "dense panels live without a CRC32 "
@@ -349,7 +408,7 @@ void check_coverage(const PlanSnapshot& snap, Report& report) {
     const nn::ConvPlan& p = snap.plan.nodes[ui];
     naive_floats += static_cast<std::size_t>(snap.max_batch) *
                     snap.graph.shape(i).numel();
-    if (kind == nn::OpKind::kConv || kind == nn::OpKind::kLinear) {
+    if (weighted(kind)) {
       if (p.storage == nn::WeightStorage::kSparse ||
           p.storage == nn::WeightStorage::kSparseHalf)
         ++sparse;

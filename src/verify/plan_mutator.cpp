@@ -50,7 +50,8 @@ const PlanDefect* all_defects() noexcept {
       PlanDefect::kActivationReorder,    PlanDefect::kIncapableFold,
       PlanDefect::kAliasOverwrite,       PlanDefect::kDroppedDequant,
       PlanDefect::kStorageMismatch,      PlanDefect::kIllegalWinograd,
-      PlanDefect::kMissingChecksum,      PlanDefect::kCounterDrift,
+      PlanDefect::kDeconvWinograd,       PlanDefect::kMissingChecksum,
+      PlanDefect::kCounterDrift,
   };
   return kAll;
 }
@@ -69,6 +70,7 @@ const char* defect_name(PlanDefect defect) noexcept {
     case PlanDefect::kDroppedDequant: return "dropped-dequant";
     case PlanDefect::kStorageMismatch: return "storage-mismatch";
     case PlanDefect::kIllegalWinograd: return "illegal-winograd";
+    case PlanDefect::kDeconvWinograd: return "deconv-winograd";
     case PlanDefect::kMissingChecksum: return "missing-checksum";
     case PlanDefect::kCounterDrift: return "counter-drift";
   }
@@ -89,6 +91,7 @@ CheckId expected_check(PlanDefect defect) noexcept {
     case PlanDefect::kDroppedDequant: return CheckId::kPrecisionBoundary;
     case PlanDefect::kStorageMismatch: return CheckId::kStorageTyping;
     case PlanDefect::kIllegalWinograd: return CheckId::kShapeLegality;
+    case PlanDefect::kDeconvWinograd: return CheckId::kShapeLegality;
     case PlanDefect::kMissingChecksum: return CheckId::kChecksumCoverage;
     case PlanDefect::kCounterDrift: return CheckId::kPlanCounters;
   }
@@ -343,6 +346,22 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
       nn::ConvPlan& p = snap.plan.nodes[static_cast<std::size_t>(i)];
       recount_algo(snap.plan, p.algo, nn::ConvAlgo::kWinograd);
       p.algo = nn::ConvAlgo::kWinograd;
+      return true;
+    }
+
+    case PlanDefect::kDeconvWinograd: {
+      // A 4×4 stride-2 deconv has no Winograd form; the engine would
+      // run the 3×3 transform over its phase panels. Deconvs sit
+      // outside the conv algo counters, so no recount is needed.
+      std::vector<int> candidates;
+      for (int i = 0; i < n; ++i)
+        if (snap.graph.node(i).kind == nn::OpKind::kDeconv &&
+            snap.plan.nodes[static_cast<std::size_t>(i)].storage ==
+                nn::WeightStorage::kDense)
+          candidates.push_back(i);
+      if (candidates.empty()) return false;
+      snap.plan.nodes[static_cast<std::size_t>(pick_node(rng, candidates))]
+          .algo = nn::ConvAlgo::kWinograd;
       return true;
     }
 

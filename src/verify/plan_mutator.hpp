@@ -32,11 +32,12 @@ enum class PlanDefect : std::uint8_t {
   kDroppedDequant,        ///< u8 output rewired into a float reader
   kStorageMismatch,       ///< sparse storage planned, no sparse panels
   kIllegalWinograd,       ///< Winograd forced onto a non-3×3 conv
+  kDeconvWinograd,        ///< Winograd forced onto a deconv
   kMissingChecksum,       ///< live panel's CRC32 record erased
   kCounterDrift,          ///< summary counter bumped off its contents
 };
 
-inline constexpr int kDefectCount = 14;
+inline constexpr int kDefectCount = 15;
 
 /// All defects, in declaration order (for sweep-style tests/tools).
 const PlanDefect* all_defects() noexcept;

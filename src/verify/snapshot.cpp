@@ -20,9 +20,10 @@ PlanSnapshot snapshot(const nn::Engine& engine) {
   for (int i = 0; i < n; ++i) {
     const std::size_t ui = static_cast<std::size_t>(i);
     const nn::Engine::PanelState ps = engine.panel_state(i);
-    snap.panels[ui] = PanelRecord{ps.dense,     ps.sparse,   ps.sparse_half,
-                                  ps.half,      ps.winograd, ps.dense_crc,
-                                  ps.sparse_crc, ps.half_crc};
+    snap.panels[ui] = PanelRecord{
+        ps.dense,     ps.sparse,   ps.sparse_half, ps.half,
+        ps.winograd,  ps.dense_crc, ps.sparse_crc, ps.half_crc,
+        ps.dense_rows, ps.dense_cols};
     // Quant state outlives a precision switch inside the engine (the
     // qlayers are retained for a cheap int8 re-prepare); it only
     // *means* anything under kInt8, so a float snapshot records none.

@@ -97,6 +97,8 @@ struct PanelRecord {
   std::uint32_t dense_crc = 0;
   std::uint32_t sparse_crc = 0;
   std::uint32_t half_crc = 0;
+  std::size_t dense_rows = 0;  ///< shape of the packed dense matrix
+  std::size_t dense_cols = 0;
 };
 
 /// A node's INT8 state under the plan (mirrors Engine::QuantState).

@@ -260,6 +260,41 @@ TEST(Resilience, RunPathCadenceSelfHeals) {
   EXPECT_TRUE(bit_identical(engine.run(input), clean));
 }
 
+TEST(Resilience, DeconvPanelFlipIsCaughtByATickAndRepackedBitExact) {
+  // A deconv's panels hold its lowered phase matrix, packed from the
+  // master weights like a conv's: corrupt_engine reaches them, the next
+  // verify tick detects the flip, and the repack restores every panel
+  // bit and the clean output.
+  nn::Graph g;
+  const int in = g.input(5, 6, 6);
+  const int up = g.deconv(in, 7, nn::Act::kRelu, "up");
+  g.mark_output(up);
+  nn::Engine engine(g, 29);
+  nn::PlanRequest request;
+  request.integrity.verify_every = 1;
+  engine.prepare(request);
+  Tensor input({1, 5, 6, 6});
+  Rng in_rng(6);
+  input.init_uniform(in_rng, -1.0f, 1.0f);
+  const std::vector<Tensor> clean = engine.run(input);
+  const PackedA& panels = engine.packed_panels(up);
+  const std::vector<float> pristine(panels.data(),
+                                    panels.data() + panels.stored_floats());
+
+  fault::FaultPlan plan;
+  plan.weight_flip_prob = 1e-2;
+  fault::FaultInjector injector(plan);
+  ASSERT_GT(injector.corrupt_engine(engine), 0u);
+  ASSERT_NE(panels.checksum(), engine.recorded_checksum(up));
+
+  const std::uint64_t mismatches = engine.integrity_report().mismatches;
+  EXPECT_TRUE(bit_identical(engine.run(input), clean));
+  EXPECT_EQ(engine.integrity_report().mismatches, mismatches + 1);
+  EXPECT_EQ(std::memcmp(panels.data(), pristine.data(),
+                        pristine.size() * sizeof(float)),
+            0);
+}
+
 TEST(Resilience, VerifyTickIsHeapFreeWhenWarm) {
   const nn::Graph g = tiny_graph();
   nn::Engine engine(g, 17);

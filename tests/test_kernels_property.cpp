@@ -15,6 +15,7 @@
 #include "nn/ops.hpp"
 #include "nn/quantize.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/sgemm_sparse.hpp"
 
@@ -148,6 +149,136 @@ TEST(GemmProperty, DegenerateOneByOne) {
     check_fp32_case(Fp32Case{1, 1, 1, false, act, true}, rng);
   }
   check_fp32_case(Fp32Case{1, 64, 1, true, EpiAct::kNone, false}, rng);
+}
+
+// --- n % 8 column tail (gemm_avx2.cpp masked register tile) ----------------
+
+/// Column counts exercising every tail width: alone (n < 8) and behind
+/// one 8-column tile, one 16-column tile and both (8k + 1 .. 8k + 7).
+std::vector<std::size_t> tail_widths() {
+  std::vector<std::size_t> ns;
+  for (std::size_t base : {0, 8, 16, 24})
+    for (std::size_t r = 1; r <= 7; ++r) ns.push_back(base + r);
+  return ns;
+}
+
+/// One epilogue configuration of the tail sweep.
+struct TailEpilogue {
+  bool accumulate;
+  EpiMode mode;
+  EpiAct act;
+};
+
+constexpr TailEpilogue kTailEpilogues[] = {
+    {true, EpiMode::kStore, EpiAct::kNone},
+    {false, EpiMode::kStore, EpiAct::kNone},
+    {false, EpiMode::kStore, EpiAct::kRelu},
+    {false, EpiMode::kStore, EpiAct::kSilu},
+    {false, EpiMode::kAccThenAct, EpiAct::kSigmoid},
+    {false, EpiMode::kActThenAcc, EpiAct::kLeakyRelu},
+};
+
+constexpr float kCanary = 12345.0f;
+
+/// C (m rows of stride ldc) = epilogue(A·B) against gemm_naive, with
+/// every row's columns [n, ldc) — and the floats past C's end — holding
+/// canaries the kernel must never write.
+void check_tail_case(std::size_t m, std::size_t k, std::size_t n,
+                     std::size_t ldb, std::size_t ldc,
+                     const TailEpilogue& e, Rng& rng) {
+  SCOPED_TRACE(::testing::Message()
+               << "m=" << m << " k=" << k << " n=" << n << " ldb=" << ldb
+               << " ldc=" << ldc << " accumulate=" << e.accumulate
+               << " mode=" << static_cast<int>(e.mode)
+               << " act=" << static_cast<int>(e.act));
+  const auto a = random_matrix(m, k, rng);
+  const auto b_dense = random_matrix(k, n, rng);
+  const auto c0 = random_matrix(m, n, rng);
+  std::vector<float> bias(m);
+  for (float& v : bias) v = static_cast<float>(rng.uniform(-0.5, 0.5));
+
+  // B padded to row stride ldb; the padding is NaN so any lane that
+  // read it would poison the row it belongs to.
+  std::vector<float> b(k * ldb, std::nanf(""));
+  for (std::size_t r = 0; r < k; ++r)
+    std::copy_n(b_dense.data() + r * n, n, b.data() + r * ldb);
+
+  std::vector<float> acc(m * n, 0.0f);
+  gemm_naive(a.data(), b_dense.data(), acc.data(), m, k, n);
+  std::vector<float> want(m * n);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      const float prior = c0[i * n + j];
+      const float v = acc[i * n + j];
+      float& w = want[i * n + j];
+      if (e.accumulate) {
+        w = prior + v;
+      } else if (e.mode == EpiMode::kStore) {
+        w = reference_act(e.act, v + bias[i]);
+      } else if (e.mode == EpiMode::kAccThenAct) {
+        w = reference_act(e.act, prior + v + bias[i]);
+      } else {
+        w = prior + reference_act(e.act, v + bias[i]);
+      }
+    }
+  }
+
+  std::vector<float> c(m * ldc + 8, kCanary);
+  for (std::size_t i = 0; i < m; ++i)
+    std::copy_n(c0.data() + i * n, n, c.data() + i * ldc);
+  const PackedA packed(a.data(), m, k);
+  GemmEpilogue epilogue;
+  if (!e.accumulate) epilogue = GemmEpilogue{bias.data(), e.act, e.mode};
+  if (ldb == n && ldc == n) {
+    GemmConfig config;
+    config.path = GemmPath::kSimd;
+    gemm_packed(packed, b.data(), c.data(), n, e.accumulate, epilogue,
+                config);
+  } else {
+    ASSERT_FALSE(e.accumulate) << "the stripe path never accumulates";
+    if (simd::active() == simd::Level::kAvx2) {
+      detail::gemm_packed_stripe_avx2(packed, b.data(), ldb, c.data(), ldc, n,
+                                      epilogue, /*parallel=*/true);
+    } else {
+      detail::gemm_packed_stripe_scalar(packed, b.data(), ldb, c.data(), ldc,
+                                        n, epilogue, /*parallel=*/true);
+    }
+  }
+
+  const float tol =
+      1e-4f * std::max<float>(1.0f, static_cast<float>(k) * 0.05f);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < ldc; ++j) {
+      const float got = c[i * ldc + j];
+      if (j < n) {
+        ASSERT_NEAR(got, want[i * n + j], tol) << "C[" << i << "][" << j << "]";
+      } else {
+        ASSERT_EQ(got, kCanary) << "canary C[" << i << "][" << j << "]";
+      }
+    }
+  }
+  for (std::size_t t = m * ldc; t < c.size(); ++t)
+    ASSERT_EQ(c[t], kCanary) << "canary past C's end at " << t;
+}
+
+TEST(GemmTailProperty, PackedTailMatchesNaiveAndSparesCanaries) {
+  Rng rng(41);
+  for (std::size_t n : tail_widths())
+    for (const TailEpilogue& e : kTailEpilogues)
+      for (std::size_t m : {1, 6, 13})
+        check_tail_case(m, /*k=*/17, n, n, n, e, rng);
+}
+
+TEST(GemmTailProperty, StripeTailMatchesNaiveAndSparesCanaries) {
+  // The fused stripe path: B and C windows narrower than their row
+  // strides, so the canaries sit inside every row.
+  Rng rng(43);
+  for (std::size_t n : tail_widths())
+    for (const TailEpilogue& e : kTailEpilogues) {
+      if (e.accumulate) continue;
+      for (std::size_t m : {1, 7})
+        check_tail_case(m, /*k=*/5, n, n + 3, n + 9, e, rng);
+    }
 }
 
 // --- compressed-storage GEMM (sgemm_sparse.hpp) ----------------------------

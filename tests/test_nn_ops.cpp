@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "nn/engine.hpp"
+#include "nn/prune.hpp"
+#include "tensor/sgemm_sparse.hpp"
 
 namespace ocb::nn {
 namespace {
@@ -91,20 +96,216 @@ TEST(DwConv2d, PerChannelFilters) {
   EXPECT_FLOAT_EQ(output[4], 11.0f);
 }
 
-TEST(Deconv2x, DoublesResolutionAndConservesMass) {
-  const int in_c = 1, in_h = 2, in_w = 2, out_c = 1;
-  std::vector<float> input{1, 0, 0, 0};
-  std::vector<float> weight(16, 0.25f);  // 4×4 kernel
-  const float bias[1] = {0.0f};
-  std::vector<float> output(16);
-  deconv2d_2x(input.data(), in_c, in_h, in_w, out_c, weight.data(), bias,
-              Act::kNone, output.data());
-  double total = 0.0;
-  for (float v : output) total += v;
-  // One unit of input mass spread through a kernel summing to 4 minus
-  // the taps clipped by pad 1 at the boundary.
-  EXPECT_GT(total, 0.0);
-  EXPECT_GT(output[0], 0.0f);  // top-left receives contribution
+// --- transposed conv: the engine's lowering vs a naive gather -------------
+
+struct DeconvShape {
+  int in_c, out_c, h, w;
+};
+
+/// The 4×4 stride-2 pad-1 transposed conv by definition, gathered per
+/// output pixel in fp64: out[o][oy][ox] = b[o] + Σ W[c][o][ky][kx] ·
+/// in[c][y][x] over every oy = 2y − 1 + ky, ox = 2x − 1 + kx. `mag`
+/// receives Σ|terms| per output, the scale a float sum's rounding
+/// error is relative to.
+std::vector<double> naive_deconv(const DeconvShape& d, const float* in,
+                                 const float* weight, const float* bias,
+                                 Act act, std::vector<double>& mag) {
+  const int oh = 2 * d.h, ow = 2 * d.w;
+  std::vector<double> out(static_cast<std::size_t>(d.out_c) * oh * ow);
+  mag.assign(out.size(), 0.0);
+  for (int o = 0; o < d.out_c; ++o) {
+    for (int oy = 0; oy < oh; ++oy) {
+      for (int ox = 0; ox < ow; ++ox) {
+        double acc = bias[o];
+        double m = std::abs(acc);
+        for (int c = 0; c < d.in_c; ++c) {
+          for (int ky = 0; ky < 4; ++ky) {
+            if ((oy + 1 - ky) % 2 != 0) continue;
+            const int y = (oy + 1 - ky) / 2;
+            if (y < 0 || y >= d.h) continue;
+            for (int kx = 0; kx < 4; ++kx) {
+              if ((ox + 1 - kx) % 2 != 0) continue;
+              const int x = (ox + 1 - kx) / 2;
+              if (x < 0 || x >= d.w) continue;
+              const double t =
+                  static_cast<double>(
+                      weight[((static_cast<std::size_t>(c) * d.out_c + o) *
+                                  4 + ky) * 4 + kx]) *
+                  in[(static_cast<std::size_t>(c) * d.h + y) * d.w + x];
+              acc += t;
+              m += std::abs(t);
+            }
+          }
+        }
+        if (act == Act::kRelu) acc = std::max(acc, 0.0);
+        const std::size_t idx =
+            (static_cast<std::size_t>(o) * oh + oy) * ow + ox;
+        out[idx] = acc;
+        mag[idx] = m;
+      }
+    }
+  }
+  return out;
+}
+
+/// One plan variant of the lowered deconv: the request that produces it
+/// and the algo/storage it must land on.
+struct DeconvVariant {
+  const char* name;
+  PlanRequest request;
+  ConvAlgo algo;
+  WeightStorage storage;
+};
+
+std::vector<DeconvVariant> deconv_variants() {
+  const simd::Level level = simd::active();
+  auto base = [&] {
+    PlanRequest r;
+    r.planner.use_cache = false;
+    r.planner.cost = KernelCostModel::defaults(level);
+    return r;
+  };
+  std::vector<DeconvVariant> out;
+  PlanRequest r = base();
+  r.planner.enable_fused = false;
+  out.push_back({"dense/im2col", r, ConvAlgo::kIm2colGemm,
+                 WeightStorage::kDense});
+  // With free compute and a starved memory path, the batched scatter
+  // the materialized lowering pays (2·rows per column) outweighs the
+  // stripe packer's gather (k per column) on every shape below.
+  r = base();
+  r.planner.cost.gemm_gflops = 1e6;
+  r.planner.cost.gemm_overhead_us = 0.0;
+  r.planner.cost.mem_gbps = 0.05;
+  r.planner.cost.cache_gbps = 1e6;
+  out.push_back({"dense/fused", r, ConvAlgo::kIm2colFused,
+                 WeightStorage::kDense});
+  r = base();
+  r.precision = Precision::kFp16;
+  r.planner.cost.half_compute_scale = 4.0;
+  r.planner.cost.weight_gbps = 0.0;
+  out.push_back({"fp16", r, ConvAlgo::kIm2colGemm, WeightStorage::kHalf});
+  r = base();
+  r.sparsity.scheme = SparsityScheme::kNm;
+  r.sparsity.min_params = 0;
+  r.planner.cost.sparse_compute_scale = 4.0;
+  out.push_back({"sparse", r, ConvAlgo::kIm2colGemm, WeightStorage::kSparse});
+  return out;
+}
+
+/// The weights the variant's kernels effectively multiply by: fp16
+/// storage rounds every weight to half, sparse storage drops the
+/// entries the magnitude mask prunes from the lowered phase matrix
+/// (row p·out_c + o, column (c, ty, tx) holds W[c][o][3−py−2ty][3−px−2tx]).
+/// Feeding these to the engine makes its compressed packing exact, so
+/// the oracle can hold every variant to the fp32 tolerance.
+std::vector<float> effective_weights(const DeconvShape& d,
+                                     std::vector<float> w,
+                                     const PlanRequest& request) {
+  if (request.precision == Precision::kFp16) {
+    for (float& v : w)
+      v = half_bits_to_float(float_to_half_bits(v, request.half_format),
+                             request.half_format);
+  }
+  if (request.sparsity.enabled()) {
+    const std::size_t rows = 4 * static_cast<std::size_t>(d.out_c);
+    const std::size_t k = 4 * static_cast<std::size_t>(d.in_c);
+    std::vector<float> phase(rows * k);
+    deconv_phase_weights(w.data(), d.in_c, d.out_c, phase.data());
+    const std::vector<std::uint8_t> mask =
+        magnitude_mask(phase.data(), rows, k, request.sparsity);
+    for (int py = 0; py < 2; ++py)
+      for (int px = 0; px < 2; ++px)
+        for (int o = 0; o < d.out_c; ++o)
+          for (int c = 0; c < d.in_c; ++c)
+            for (int ty = 0; ty < 2; ++ty)
+              for (int tx = 0; tx < 2; ++tx) {
+                const std::size_t row =
+                    static_cast<std::size_t>((py * 2 + px) * d.out_c + o);
+                const std::size_t col =
+                    static_cast<std::size_t>(c * 4 + ty * 2 + tx);
+                if (mask[row * k + col] != 0) continue;
+                w[((static_cast<std::size_t>(c) * d.out_c + o) * 4 +
+                   (3 - py - 2 * ty)) * 4 + (3 - px - 2 * tx)] = 0.0f;
+              }
+  }
+  return w;
+}
+
+/// in → deconv, plus an upsampled sibling concatenated after it so that
+/// under concat fusion the deconv writes straight into a placed view of
+/// the concat buffer (a per-image stride that is not its own size).
+Graph deconv_graph(const DeconvShape& d, Act act, int* deconv) {
+  Graph g;
+  const int in = g.input(d.in_c, d.h, d.w);
+  *deconv = g.deconv(in, d.out_c, act, "up");
+  const int up = g.upsample2x(in);
+  g.mark_output(g.concat({*deconv, up}));
+  return g;
+}
+
+void expect_matches_oracle(const DeconvShape& d, const std::vector<float>& in,
+                           const std::vector<float>& w, const Tensor& bias,
+                           Act act, const Tensor& got) {
+  std::vector<double> mag;
+  const std::vector<double> want =
+      naive_deconv(d, in.data(), w.data(), bias.data(), act, mag);
+  // The concat output's leading out_c channels are the deconv.
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_LE(std::abs(static_cast<double>(got.data()[i]) - want[i]),
+              1e-5 * std::max(1.0, mag[i]))
+        << "output " << i;
+  }
+}
+
+TEST(Deconv, LoweredPlansMatchNaiveTransposedConv) {
+  const DeconvShape shapes[] = {{5, 7, 1, 1}, {3, 4, 2, 2}, {13, 11, 7, 7},
+                                {7, 5, 5, 9}};
+  constexpr int kBatch = 3;
+  for (const DeconvShape& d : shapes) {
+    for (const DeconvVariant& v : deconv_variants()) {
+      for (const bool fused : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << d.in_c << "x" << d.h << "x" << d.w << " -> "
+                     << d.out_c << " " << v.name << " fusion=" << fused);
+        const Act act = fused ? Act::kRelu : Act::kNone;
+        int node = -1;
+        const Graph g = deconv_graph(d, act, &node);
+        Engine engine(g, 5);
+        Rng rng(static_cast<std::uint64_t>(d.in_c * 100 + d.h));
+        std::vector<float> w(engine.weight(node).numel());
+        for (float& x : w) x = static_cast<float>(rng.uniform(-0.5, 0.5));
+        w = effective_weights(d, std::move(w), v.request);
+        std::copy(w.begin(), w.end(), engine.weight(node).data());
+        Tensor& bias = engine.bias(node);
+        for (std::size_t i = 0; i < bias.numel(); ++i)
+          bias.data()[i] = static_cast<float>(rng.uniform(-0.5, 0.5));
+
+        PlanRequest request = v.request;
+        request.max_batch = kBatch;
+        if (fused) request.fusion = FusionConfig{true, true, true};
+        const ConvPlan& plan =
+            engine.prepare(request).nodes[static_cast<std::size_t>(node)];
+        ASSERT_EQ(plan.algo, v.algo);
+        ASSERT_EQ(plan.storage, v.storage);
+
+        std::vector<Tensor> frames;
+        std::vector<std::vector<float>> raw;
+        for (int b = 0; b < kBatch; ++b) {
+          Tensor x({1, d.in_c, d.h, d.w});
+          x.init_uniform(rng, -1.0f, 1.0f);
+          raw.emplace_back(x.data(), x.data() + x.numel());
+          frames.push_back(std::move(x));
+        }
+        expect_matches_oracle(d, raw[0], w, bias, act,
+                              engine.run(frames[0]).front());
+        const auto outs = engine.run_batch(frames);
+        for (int b = 0; b < kBatch; ++b)
+          expect_matches_oracle(d, raw[static_cast<std::size_t>(b)], w, bias,
+                                act, outs[static_cast<std::size_t>(b)].front());
+      }
+    }
+  }
 }
 
 TEST(MaxPool, PicksMaximum) {

@@ -23,8 +23,9 @@ namespace {
 /// *after* the folding conv, so the planner must not alias the add —
 /// which is exactly the alias-overwrite mutation's precondition. c3
 /// and c4 are single-consumer concat feeds (placed views), c4 is a
-/// 1×1 (illegal-Winograd site), and the linear head gives storage
-/// mutations a non-conv site.
+/// 1×1 (illegal-Winograd site), the linear head gives storage
+/// mutations a non-conv site, and the deconv branch off the head is
+/// the deconv-Winograd site.
 nn::Graph reference_graph() {
   nn::Graph g;
   const int in = g.input(3, 16, 16);
@@ -38,7 +39,9 @@ nn::Graph reference_graph() {
   const int head = g.conv(cat, 8, 3, 1, 1, nn::Act::kSilu, "head");
   const int gap = g.global_avg_pool(head, "gap");
   const int fc = g.linear(gap, 10, nn::Act::kNone, "fc");
+  const int up = g.deconv(head, 4, nn::Act::kRelu, "up");
   g.mark_output(fc);
+  g.mark_output(up);
   return g;
 }
 

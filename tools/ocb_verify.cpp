@@ -179,8 +179,10 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::vector<Audit> audits;
-  // Snapshots kept for the mutation audit: a fused float plan (most
-  // defect classes) and an int8 plan (the dequant class).
+  // Snapshots kept for the mutation audit: every model's fused float
+  // plan (most defect classes; each model contributes different node
+  // kinds, e.g. trt_pose's deconvs) and the first model's int8 plan
+  // (the dequant class).
   std::vector<verify::PlanSnapshot> audit_snaps;
 
   for (models::ModelId id : ids) {
@@ -204,11 +206,10 @@ int main(int argc, char** argv) {
       if (!v.fused_leg_too) continue;
       engine.prepare(make_request(v, true));
       sweep_leg(engine, info.name, v.name, true, rows);
-      if (cli.flag("mutations") && audit_snaps.size() < 2 &&
-          std::string(v.name) == "fp32")
+      if (cli.flag("mutations") && std::string(v.name) == "fp32")
         audit_snaps.push_back(verify::snapshot(engine));
     }
-    if (cli.flag("mutations") && audit_snaps.size() < 2) {
+    if (cli.flag("mutations") && id == ids.front()) {
       // The engine currently holds the int8 plan (last variant).
       audit_snaps.push_back(verify::snapshot(engine));
     }
