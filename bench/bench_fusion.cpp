@@ -1,8 +1,8 @@
 // Memory-traffic elimination benchmark: the fused execution stack
-// (im2col-free conv packing + residual/concat graph fusion + the
-// liveness-planned activation arena, PlanRequest::fusion) against the
-// pre-fusion planner path (PR 7 candidate set: materialized im2col /
-// direct / Winograd, one activation buffer per node).
+// (residual/concat graph fusion + the liveness-planned activation
+// arena, PlanRequest::fusion) against the same planned kernels without
+// it (one activation buffer per node). Both engines run the planner's
+// default conv choices — im2col stripes / direct / Winograd.
 //
 // Walks the registry's conv-heavy VIP models that carry residual adds
 // and channel concats (YOLOv8-n, Monodepth2) at a CPU-friendly input
@@ -14,14 +14,14 @@
 // model (YOLOv8-x, the largest conv-heavy model) must hold the
 // configured frame-speedup floor and a >= 30% peak-arena reduction.
 // The floor is host-dependent (see EXPERIMENTS.md): on a single
-// AVX2 core the whole model is compute-bound and fusion buys
-// 1.05-1.12x end to end (individual streamed-im2col layers gain
-// 1.3-1.9x), but a shared runner draws +/-8% run-to-run noise even
-// with the interleaved-pair median below, so CI's default floor
-// (0.95x) is a mispick-regression catcher — the planner-bug class it
-// exists for measures <= 0.90x — while the 1.25x whole-model target
-// applies to bandwidth-bound Jetson-class deployments and the
-// stronger per-layer claim is gated by bench_conv_planner.
+// AVX2 core the whole model is compute-bound, so removing feature-map
+// passes buys little end to end, and a shared runner draws +/-8%
+// run-to-run noise even with the interleaved-pair median below. CI's
+// default floor (0.95x) is therefore a regression catcher — the
+// planner-bug class it exists for measures <= 0.90x — while the 1.25x
+// whole-model target applies to bandwidth-bound Jetson-class
+// deployments. The per-layer stripe-packing claim is gated by
+// bench_conv_planner.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -53,7 +53,7 @@ double seconds_once(F&& body) {
 struct FusionResult {
   std::string name;
   double base_ns_frame = 0.0;   ///< planner path, fusion off
-  double fused_ns_frame = 0.0;  ///< fused kernels + graph fusion + arena
+  double fused_ns_frame = 0.0;  ///< planner path + graph fusion + arena
   double pair_speedup = 0.0;    ///< median of per-pair base/fused ratios
   double max_abs_diff = 0.0;
   int fused_nodes = 0;
@@ -76,16 +76,13 @@ FusionResult bench_model(models::ModelId id, double input_scale,
                          double min_seconds) {
   const nn::Graph graph = models::build_model(id, input_scale);
 
-  // Baseline: the planner as of the pre-fusion candidate set —
-  // materialized im2col / direct 1x1 / Winograd, no graph fusion, one
-  // activation buffer per node.
+  // Baseline: the default plan with no graph fusion — one activation
+  // buffer per node.
   nn::Engine base(graph, 5);
-  nn::PlanRequest base_req;
-  base_req.planner.enable_fused = false;
-  base.prepare(base_req);
+  base.prepare(nn::PlanRequest{});
 
-  // Fused: full candidate set plus residual folding, concat placement
-  // and the liveness-planned arena.
+  // Fused: the same plan plus residual folding, concat placement and
+  // the liveness-planned arena.
   nn::Engine fused(graph, 5);
   nn::PlanRequest fused_req;
   fused_req.fusion = nn::FusionConfig{true, true, true};
@@ -181,15 +178,14 @@ std::string to_json(const std::vector<FusionResult>& results,
 
 int main(int argc, char** argv) {
   Cli cli("bench_fusion",
-          "fused conv packing + graph fusion + arena planning vs the "
-          "pre-fusion planner path");
+          "graph fusion + arena planning vs the unfused planner path");
   bench::add_common_flags(cli);
   cli.add_double("min-seconds", 0.2,
                  "minimum sampling time per measurement point");
   cli.add_double("input-scale", 0.3,
                  "registry model input scale (1.0 = deployment resolution); "
-                 "0.3 keeps the CI run short while the streamed-im2col "
-                 "layers the fused path targets stay past cache residency");
+                 "0.3 keeps the CI run short while the feature maps fusion "
+                 "saves passes over stay past cache residency");
   cli.add_string("out", "BENCH_fusion.json",
                  "machine-readable output path (empty disables)");
   if (!cli.parse(argc, argv)) return 0;
@@ -214,7 +210,7 @@ int main(int argc, char** argv) {
       models::model_info(models::ModelId::kYoloV8x).name;
 
   ResultTable table(
-      "Whole model: fused engine vs pre-fusion planner engine",
+      "Whole model: fused engine vs unfused planner engine",
       {"model", "base ms", "fused ms", "speedup", "res", "concat",
        "arena red.", "warm allocs", "max |diff|"});
   for (const FusionResult& r : results) {

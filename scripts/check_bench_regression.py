@@ -27,10 +27,11 @@ with SIMD active, fails when the kernel planner stopped picking
 Winograd on any 3x3 stage, when the best Winograd layer's measured
 speedup over always-im2col drops below --min-winograd-speedup
 (default 1.5), when any planner choice is measurably SLOWER than
-im2col (a cost-model mischoice), or when the planned engine's output
-diverges from the legacy im2col engine. Layer/model speedups are
-machine-relative; planned ns/frame is additionally compared against
-the baseline unless --ratio-only.
+a materialized im2col conv (a cost-model mischoice), or when the
+planned engine's output diverges from the legacy engine (the
+constructor's unplanned plan, im2col stripes everywhere). Layer/model
+speedups are machine-relative; planned ns/frame is additionally
+compared against the baseline unless --ratio-only.
 
 Also understands BENCH_pareto.json (top-level "bench": "pareto"), the
 accuracy-vs-speed frontier over the compressed execution formats. With
@@ -49,8 +50,8 @@ machine-relative; frontier ns/frame is additionally compared against
 the baseline unless --ratio-only.
 
 Also understands BENCH_fusion.json (top-level "bench": "fusion"), the
-fused execution stack (im2col-free conv packing + residual/concat
-fusion + liveness arena) against the pre-fusion planner path. Fails
+fused execution stack (residual/concat fusion + liveness arena)
+against the same planned kernels without it. Fails
 when any model's fused engine diverges from the unfused baseline
 beyond 1e-5, when a warmed fused frame performed heap allocations
 (only enforced when the build counts them), when any model's fused
@@ -163,7 +164,7 @@ def check_planner(
 ) -> list[str]:
     """Gate the conv-planner bench: the cost model must keep choosing
     kernels that are actually faster, and the planned engine must stay
-    numerically equivalent to the legacy im2col engine."""
+    numerically equivalent to the legacy (unplanned stripe) engine."""
     failures: list[str] = []
     simd_active = current.get("simd", "scalar") != "scalar"
     layers = current.get("layers", [])
@@ -195,12 +196,12 @@ def check_planner(
         name = model["name"]
         if model["max_abs_diff"] > MAX_PLANNED_ABS_DIFF:
             failures.append(
-                f"{name}: planned engine diverges from legacy im2col engine "
+                f"{name}: planned engine diverges from legacy stripe engine "
                 f"(max |diff| {model['max_abs_diff']:.2e})"
             )
         if model["speedup"] < 1.0 - tolerance:
             failures.append(
-                f"{name}: planned engine slower than legacy im2col engine "
+                f"{name}: planned engine slower than legacy stripe engine "
                 f"(speedup {model['speedup']:.2f})"
             )
         if not ratio_only:
@@ -352,7 +353,7 @@ def check_fusion(
             )
         if model["speedup"] < 1.0 - tolerance:
             failures.append(
-                f"{name}: fused engine slower than pre-fusion baseline "
+                f"{name}: fused engine slower than unfused baseline "
                 f"(speedup {model['speedup']:.2f})"
             )
 

@@ -35,17 +35,6 @@ correctness:
   include-hygiene  files that use ocb::Mutex / MutexLock / CondVar /
                    OCB_GUARDED_BY must include core/thread_annotations.hpp
                    themselves rather than leaning on transitive includes.
-  im2col-materialize
-                   direct column-matrix materialization (im2col /
-                   im2col_scratch / im2col_u8_quads) in src/ outside the
-                   planner-dispatched conv drivers (nn/ops.cpp,
-                   nn/quantize.cpp), the kernels' own TUs and the
-                   training-time autograd lowering. The planner prices
-                   whether a layer's full column matrix is worth the
-                   bytes (ConvAlgo::kIm2colGemm vs the fused stripe
-                   packer); an ad-hoc lowering bypasses that decision
-                   and silently reintroduces the O(k^2) DRAM traffic
-                   the fused path exists to eliminate (DESIGN.md §13).
   simd-tu          AVX2/extended-ISA intrinsics (or <immintrin.h>)
                    outside a *_avx2.cpp translation unit. Only the
                    *_avx2.cpp TUs are compiled with -mavx2 -mfma (plus
@@ -382,44 +371,6 @@ def check_include_hygiene(rel: str, lines: list[str]) -> list[Finding]:
     return []
 
 
-# --- rule: im2col-materialize -----------------------------------------------
-
-IM2COL_MATERIALIZE_RE = re.compile(
-    r"\bim2col(?:_scratch|_u8_quads)?\s*\("
-)
-# The column-lowering kernels live in tensor/im2col*; the only in-tree
-# consumers allowed to materialize a column matrix are the
-# planner-dispatched conv drivers (float + quantized) and the autograd
-# training path (gradient lowering, never the inference hot path).
-IM2COL_ALLOWED = {
-    "src/tensor/im2col.hpp",
-    "src/tensor/im2col.cpp",
-    "src/tensor/im2col_avx2.cpp",
-    "src/nn/ops.cpp",
-    "src/nn/quantize.cpp",
-    "src/autograd/ops.cpp",
-}
-
-
-def check_im2col_materialize(rel: str, lines: list[str]) -> list[Finding]:
-    if rel in IM2COL_ALLOWED or not rel.startswith("src/"):
-        return []
-    findings = []
-    for i, raw in enumerate(lines, 1):
-        code = strip_comments_and_strings(raw)
-        if not IM2COL_MATERIALIZE_RE.search(code):
-            continue
-        if "im2col-materialize" in allowed_rules(raw):
-            continue
-        findings.append(Finding(
-            "im2col-materialize", rel, i,
-            "column-matrix materialization outside the planner-approved "
-            "conv drivers — the planner prices im2col vs the fused "
-            "stripe packer per layer; lower through nn/ops.cpp or use "
-            "Im2colPanelPacker (DESIGN.md §13)"))
-    return findings
-
-
 # --- rule: zero-skip --------------------------------------------------------
 
 ZERO_SKIP_RE = re.compile(r"==\s*0\.0*f?\s*\)\s*continue\b")
@@ -599,7 +550,6 @@ FILE_CHECKS = [
     check_unguarded_fields,
     check_guarded_by_exists,
     check_include_hygiene,
-    check_im2col_materialize,
     check_zero_skip,
     check_simd_tu,
     check_sparse_dense_unpack,
@@ -726,12 +676,6 @@ SELF_TEST_CASES = [
      ["class Q {",
       "  MutexLock hold();",
       "};"]),
-    ("im2col-materialize", "src/runtime/bad.cpp",
-     ["im2col(input, geom, col.data());"]),
-    ("im2col-materialize", "src/nn/bad.cpp",
-     ["float* col = im2col_scratch(input, geom, scratch);"]),
-    ("im2col-materialize", "src/nn/bad.cpp",
-     ["im2col_u8_quads(input, geom, zp, quads);"]),
     ("zero-skip", "src/nn/bad.cpp",
      ["          if (v == 0.0f) continue;"]),
     ("zero-skip", "src/tensor/bad.cpp",
@@ -781,14 +725,6 @@ SELF_TEST_CLEAN = [
       "};",
       "Mutex g_registry_mu;",
       "#define WRAP(x) OCB_GUARDED_BY(x)  // file scope: lenient"]),
-    ("src/runtime/good2.cpp",
-     ["// im2col(x) in a comment is fine",
-      "engine->prepare(request);",
-      "im2col(input, geom, col);  // ocb-lint: allow(im2col-materialize)"]),
-    ("src/nn/ops.cpp",
-     ["const float* col = im2col_scratch(input, geom, scratch);"]),
-    ("src/nn/good.cpp",
-     ["packer.pack(x0, x1, panel);  // fused stripe packing is the point"]),
     ("src/tensor/good.cpp",
      ["if (aval == 0.0f) continue;  // ocb-lint: allow(zero-skip) mask",
       "if (ws.numel() == 0) continue;  // integer: not a value skip",

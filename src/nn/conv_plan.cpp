@@ -27,10 +27,8 @@ const char* weight_storage_name(WeightStorage storage) noexcept {
 
 const char* conv_algo_name(ConvAlgo algo) noexcept {
   switch (algo) {
-    case ConvAlgo::kIm2colGemm: return "im2col";
     case ConvAlgo::kDirectGemm: return "direct";
     case ConvAlgo::kWinograd: return "winograd";
-    case ConvAlgo::kIm2colQuant: return "int8-im2col";
     case ConvAlgo::kIm2colFused: return "im2col-fused";
     case ConvAlgo::kIm2colQuantFused: return "int8-im2col-fused";
   }

@@ -1,9 +1,9 @@
 // Per-layer convolution plans and the shape-keyed plan cache.
 //
 // A ConvPlan records which implementation a conv layer should run
-// through (im2col→packed GEMM, direct 1×1 GEMM, Winograd F(2×2,3×3),
-// or the quantized im2col path) together with the cost model's latency
-// estimates. Plans are pure functions of the ConvPlanKey — the conv
+// through (im2col stripes → packed GEMM, direct 1×1 GEMM, Winograd
+// F(2×2,3×3), or the quantized im2col stripes) and the weight-panel
+// storage it reads, together with the cost model's latency estimates. Plans are pure functions of the ConvPlanKey — the conv
 // geometry, batch, precision and SIMD path — so identical layers across
 // engines, models and threads share one cached decision: PlanCache is
 // a bounded, thread-safe map from key to plan. Lookups never allocate
@@ -45,14 +45,15 @@ enum class WeightStorage : std::uint8_t {
 
 const char* weight_storage_name(WeightStorage storage) noexcept;
 
-/// Candidate implementations the planner chooses between.
+/// Candidate implementations the planner chooses between. Every conv
+/// can run kIm2colFused, the one im2col lowering (column stripes
+/// packed on the fly over the whole batch, any weight storage); the
+/// others are shape-specific alternatives.
 enum class ConvAlgo : std::uint8_t {
-  kIm2colGemm,  ///< lower to a column matrix, one fused packed GEMM
   kDirectGemm,  ///< 1×1 s1 p0: the input already is the column matrix
   kWinograd,    ///< 3×3 s1: F(2×2,3×3) transforms + 16 pointwise GEMMs
-  kIm2colQuant, ///< u8×s8 quantized im2col path (kInt8 precision only)
   kIm2colFused, ///< im2col-free: column stripes packed on the fly
-  kIm2colQuantFused,  ///< fused stripes over the u8 quad layout (kInt8)
+  kIm2colQuantFused,  ///< stripes over the u8 quad layout (kInt8 only)
 };
 
 const char* conv_algo_name(ConvAlgo algo) noexcept;
@@ -86,16 +87,16 @@ struct ConvPlanKeyHash {
 /// picked it (retained for observability: ExecutionPlan::to_text and
 /// BENCH_planner report them).
 struct ConvPlan {
-  ConvAlgo algo = ConvAlgo::kIm2colGemm;
+  ConvAlgo algo = ConvAlgo::kIm2colFused;
   /// Weight-panel format the chosen kernel reads (dense / half-stored /
-  /// sparse). Only kIm2colGemm and kDirectGemm support non-dense
+  /// sparse). Only kIm2colFused and kDirectGemm support non-dense
   /// storage; Winograd and the quantized path stay kDense.
   WeightStorage storage = WeightStorage::kDense;
   /// Surviving weight fraction the cost model priced (1.0 for dense
   /// storage).
   float density = 1.0f;
   double est_ms = 0.0;         ///< modelled latency of the chosen algo
-  double est_im2col_ms = 0.0;  ///< baseline candidate (dense im2col)
+  double est_im2col_ms = 0.0;  ///< baseline candidate (dense stripes)
 };
 
 /// Thread-safe bounded map from ConvPlanKey to ConvPlan.

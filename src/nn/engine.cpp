@@ -137,22 +137,16 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   }
 
   // Load-time plan: pre-size every activation (pointers stay stable for
-  // the precomputed concat argument lists below), pack every GEMM
-  // node's weight panels, and reserve the arena for the largest im2col
-  // lowering any node needs.
-  std::size_t max_scratch_floats = 0;
+  // the precomputed concat argument lists below) and pack every GEMM
+  // node's weight panels.
   for (int i = 0; i < n; ++i) {
     const FeatShape out = graph_.shape(i);
     activations_[static_cast<std::size_t>(i)] =
         Tensor({1, out.c, out.h, out.w});
-    const GemmNode g = gemm_node(graph_, i);
-    if (!g) continue;
+    if (!gemm_node(graph_, i)) continue;
     repack(i);
     integrity_nodes_.push_back(i);
-    max_scratch_floats =
-        std::max(max_scratch_floats, g.geom.col_rows() * g.geom.col_cols());
   }
-  scratch_.arena.reserve_bytes(max_scratch_floats * sizeof(float));
   size_deconv_stage();
   resize_output_slots();
 
@@ -163,12 +157,12 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   plan_.arena_peak_bytes_after = plan_.arena_peak_bytes_before;
   rebuild_act_layout();
 
-  // Baseline plan: fp32, batch 1, im2col everywhere — bit-compatible
-  // with the pre-planner engine. The cost-model planner only engages
-  // through prepare().
+  // Baseline plan: fp32, batch 1, dense im2col stripes everywhere. The
+  // cost-model planner only engages through prepare().
   for (int i = 0; i < n; ++i)
     if (graph_.node(i).kind == OpKind::kConv) ++plan_.conv_nodes;
-  plan_.im2col_nodes = plan_.conv_nodes;
+  plan_.fused_nodes = plan_.conv_nodes;
+  reserve_conv_scratch();
 }
 
 void Engine::resize_output_slots() {
@@ -269,17 +263,11 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
       p = plan_conv(key, request.planner);
       // Only the storage decision applies — linear always runs the
       // packed GEMV, whatever algo the 1×1 enumeration preferred.
-      if (kind == OpKind::kLinear) p.algo = ConvAlgo::kIm2colGemm;
+      if (kind == OpKind::kLinear) p.algo = ConvAlgo::kIm2colFused;
     }
     plan_scratch_[ui] = p;
-    // An active plan may carry a fusion-requested upgrade (materialized
-    // im2col re-planned as kIm2colFused so a residual could fold);
-    // compare against the planner's raw pick or every re-prepare would
-    // look changed and take the allocating rebuild path.
-    ConvAlgo active = plan_.nodes[ui].algo;
-    if (fusion_.nodes[ui].upgrade_fused && active == ConvAlgo::kIm2colFused)
-      active = ConvAlgo::kIm2colGemm;
-    if (p.algo != active || p.storage != plan_.nodes[ui].storage)
+    if (p.algo != plan_.nodes[ui].algo ||
+        p.storage != plan_.nodes[ui].storage)
       algos_changed = true;
   }
   const PlanCache::Stats after = cache.stats();
@@ -311,15 +299,6 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   // Graph fusion + activation placement over the settled plans, and
   // the per-node base/stride views that execute it.
   fusion_ = plan_fusion(graph_, plan_.nodes, fusion_cfg, max_batch_);
-  // A residual fold into a conv the planner left on materialized
-  // im2col needs the fused kernel's epilogue: apply the re-plan the
-  // fusion pass requested (NodeFusion::upgrade_fused) before sizing
-  // scratch, so the stripe budget below sees the node.
-  for (int i = 0; i < n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    if (fusion_.nodes[ui].upgrade_fused)
-      plan_.nodes[ui].algo = ConvAlgo::kIm2colFused;
-  }
   fusion_cfg_ = fusion_cfg;
   rebuild_act_layout();
   plan_.residual_fused = fusion_.residual_fused;
@@ -340,46 +319,12 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   for (int i = 0; i < n; ++i)
     if (gemm_node(graph_, i)) pack_storage(i);
 
-  // Winograd nodes need their transformed weight panels and one arena
-  // block for the V + M tile buffers of the hungriest layer.
-  std::size_t wino_need = 0;
-  for (int i = 0; i < n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    if (plan_.nodes[ui].algo != ConvAlgo::kWinograd) continue;
-    if (panels_[ui].wino.empty()) pack_winograd(i);
-    const GemmNode g = gemm_node(graph_, i);
-    wino_need = std::max(
-        wino_need,
-        winograd::scratch_floats(g.geom, g.rows, max_batch_) * sizeof(float));
-  }
-  if (wino_need != 0) {
-    wino_need += 2 * Arena::kAlign;  // per-alloc alignment rounding
-    if (wino_need > wino_scratch_bytes_) {
-      scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() +
-                                   wino_need);
-      wino_scratch_bytes_ = wino_need;
-    }
-  }
-
-  // Fused-stripe nodes bump-allocate their panel buffers from the
-  // arena per call; on tiny graphs that can exceed the constructor's
-  // im2col reserve, so budget the hungriest fused layer explicitly.
-  std::size_t fused_need = 0;
-  for (int i = 0; i < n; ++i) {
-    const std::size_t ui = static_cast<std::size_t>(i);
-    if (plan_.nodes[ui].algo != ConvAlgo::kIm2colFused) continue;
-    fused_need = std::max(
-        fused_need,
-        fused_conv_scratch_floats(gemm_node(graph_, i).geom) * sizeof(float));
-  }
-  if (fused_need != 0) {
-    fused_need += 2 * Arena::kAlign;
-    if (fused_need > fused_scratch_bytes_) {
-      scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() +
-                                   fused_need);
-      fused_scratch_bytes_ = fused_need;
-    }
-  }
+  // Winograd nodes need their transformed weight panels.
+  for (int i = 0; i < n; ++i)
+    if (plan_.nodes[static_cast<std::size_t>(i)].algo ==
+            ConvAlgo::kWinograd &&
+        panels_[static_cast<std::size_t>(i)].wino.empty())
+      pack_winograd(i);
 
   if (request.precision == Precision::kInt8) {
     build_int8_plan();
@@ -390,13 +335,13 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
     std::fill(float_stale_.begin(), float_stale_.end(), 0);
   }
   precision_ = request.precision;
+  reserve_conv_scratch();
 
   plan_.precision = precision_;
   plan_.max_batch = max_batch_;
   plan_.conv_nodes = 0;
   plan_.winograd_nodes = 0;
   plan_.direct_nodes = 0;
-  plan_.im2col_nodes = 0;
   plan_.quant_nodes = 0;
   plan_.sparse_nodes = 0;
   plan_.fp16_nodes = 0;
@@ -417,8 +362,6 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
     switch (p.algo) {
       case ConvAlgo::kWinograd: ++plan_.winograd_nodes; break;
       case ConvAlgo::kDirectGemm: ++plan_.direct_nodes; break;
-      case ConvAlgo::kIm2colQuant: ++plan_.quant_nodes; break;
-      case ConvAlgo::kIm2colGemm: ++plan_.im2col_nodes; break;
       case ConvAlgo::kIm2colFused: ++plan_.fused_nodes; break;
       case ConvAlgo::kIm2colQuantFused:
         ++plan_.quant_nodes;
@@ -509,26 +452,44 @@ void Engine::grow_batch_plan(int max_batch) {
   // output snapshot row per image.
   resize_output_slots();
 
-  // One extra arena block holding both buffers conv2d_batched bump-
-  // allocates (the widened column matrix and the channel-major staging
-  // result) for the hungriest GEMM node in the graph, so batched runs
-  // never grow the arena.
+  size_deconv_stage();
+}
+
+void Engine::reserve_conv_scratch() {
   std::size_t need = 0;
-  for (int i = 0; i < n; ++i) {
+  for (int i = 0; i < graph_.node_count(); ++i) {
     const GemmNode g = gemm_node(graph_, i);
     if (!g) continue;
-    const std::size_t n_tot =
-        g.geom.col_cols() * static_cast<std::size_t>(max_batch);
-    need = std::max(need,
-                    (g.geom.col_rows() + static_cast<std::size_t>(g.rows)) *
-                        n_tot * sizeof(float));
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const std::size_t rows = static_cast<std::size_t>(g.rows);
+    std::size_t bytes = 0;
+    if (graph_.node(i).kind == OpKind::kLinear) {
+      // The INT8 GEMV pads its quantized input to whole quads.
+      if (precision_ == Precision::kInt8 && qlayers_[ui].valid())
+        bytes = quad_buffer_bytes(qlayers_[ui].packed.cols(), 1);
+    } else {
+      switch (plan_.nodes[ui].algo) {
+        case ConvAlgo::kWinograd:
+          bytes = winograd::scratch_floats(g.geom, g.rows, max_batch_) *
+                  sizeof(float);
+          break;
+        case ConvAlgo::kIm2colFused:
+          bytes = fused_conv_scratch_floats(g.geom, rows, max_batch_) *
+                  sizeof(float);
+          break;
+        case ConvAlgo::kIm2colQuantFused:
+          bytes = fused_qconv_scratch_bytes(g.geom);
+          break;
+        case ConvAlgo::kDirectGemm: break;
+      }
+    }
+    need = std::max(need, bytes);
   }
   need += 2 * Arena::kAlign;  // per-alloc alignment rounding
-  if (need > batch_scratch_bytes_) {
+  if (need > conv_scratch_bytes_) {
     scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() + need);
-    batch_scratch_bytes_ = need;
+    conv_scratch_bytes_ = need;
   }
-  size_deconv_stage();
 }
 
 void Engine::size_deconv_stage() {
@@ -739,42 +700,27 @@ void Engine::build_int8_plan() {
   for (std::size_t j = 0; j < n; ++j)
     for (int s : graph_.node(static_cast<int>(j)).inputs)
       consumers[static_cast<std::size_t>(s)].push_back(static_cast<int>(j));
-  // A conv is quantized only when the planner kept kIm2colQuant for it
-  // (the cost model may keep a tiny layer in fp32); linear nodes are
-  // always quantized. Consumers of a fallback node read float, so it
+  // A conv is quantized only when the planner kept kIm2colQuantFused
+  // for it (the cost model may keep a tiny layer in fp32); linear nodes
+  // are always quantized. Consumers of a fallback node read float, so it
   // must not be counted as an INT8 reader when deciding u8 residency.
   auto quantizable = [&](int i) {
     const OpKind kind = graph_.node(i).kind;
     if (kind == OpKind::kLinear) return true;
     const ConvAlgo algo = plan_.nodes[static_cast<std::size_t>(i)].algo;
-    return kind == OpKind::kConv && (algo == ConvAlgo::kIm2colQuant ||
-                                     algo == ConvAlgo::kIm2colQuantFused);
+    return kind == OpKind::kConv && algo == ConvAlgo::kIm2colQuantFused;
   };
   const auto& outs = graph_.outputs();
 
-  std::size_t max_quad_bytes = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const Node& nd = graph_.node(static_cast<int>(i));
     if (!quantizable(static_cast<int>(i))) continue;
     const int src = nd.inputs[0];
     const FeatShape in0 = graph_.shape(src);
-    std::size_t k;
-    if (nd.kind == OpKind::kConv) {
-      k = static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel;
-      const ConvGeometry geom{in0.c, in0.h, in0.w, nd.kernel, nd.kernel,
-                              nd.stride, nd.pad};
-      // Fused nodes never materialize the quad buffer — they only need
-      // their (much smaller) stripe panels, which can still exceed a
-      // tiny layer's quad buffer.
-      const bool fused = plan_.nodes[i].algo == ConvAlgo::kIm2colQuantFused;
-      max_quad_bytes = std::max(
-          max_quad_bytes,
-          fused ? fused_qconv_scratch_bytes(geom)
-                : quad_buffer_bytes(geom.col_rows(), geom.col_cols()));
-    } else {
-      k = in0.numel();
-      max_quad_bytes = std::max(max_quad_bytes, quad_buffer_bytes(k, 1));
-    }
+    const std::size_t k =
+        nd.kind == OpKind::kConv
+            ? static_cast<std::size_t>(in0.c) * nd.kernel * nd.kernel
+            : in0.numel();
     const float* wq =
         masked_for_quant(weights_[i].data(),
                          static_cast<std::size_t>(nd.out_c), k, sparsity_,
@@ -796,15 +742,6 @@ void Engine::build_int8_plan() {
   for (std::size_t i = 0; i < n; ++i)
     if (qlayers_[i].valid() && qlayers_[i].emit_u8)
       u8_acts_[i].resize(graph_.shape(static_cast<int>(i)).numel());
-
-  // The INT8 path performs one arena alloc per node (the activation
-  // quad buffer); make sure a single pre-reserved block can hold the
-  // largest one so run() never grows the arena.
-  if (max_quad_bytes > int8_scratch_bytes_) {
-    scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() +
-                                 max_quad_bytes);
-    int8_scratch_bytes_ = max_quad_bytes;
-  }
 }
 
 const std::vector<Tensor>& Engine::run(const Tensor& input) {
@@ -904,21 +841,16 @@ void Engine::forward(std::span<const Tensor> inputs) {
           conv2d_winograd(src, sstride, batch, geom, w.wino, conv_bias, act,
                           out, out_stride, scratch_, mode);
           break;
-        case ConvAlgo::kIm2colFused:
-          conv2d_fused(src, sstride, batch, geom, w.dense, conv_bias, act,
-                       out, out_stride, scratch_, mode);
-          break;
         case ConvAlgo::kDirectGemm:
           w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
             conv2d_direct1x1(src, sstride, batch, geom, panels, conv_bias,
                              act, out, out_stride, mode);
           });
           break;
-        default:
-          // Materialized im2col paths (never residual-fused).
+        default:  // kIm2colFused (kIm2colQuantFused nodes ran above)
           w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {
-            conv2d_batched(src, sstride, batch, geom, panels, conv_bias, act,
-                           out, out_stride, scratch_);
+            conv2d_fused(src, sstride, batch, geom, panels, conv_bias, act,
+                         out, out_stride, scratch_, mode);
           });
           break;
       }
@@ -932,21 +864,17 @@ void Engine::forward(std::span<const Tensor> inputs) {
         break;
       case OpKind::kConv: {
         const ConvGeometry geom = gemm_node(graph_, i).geom;
-        const ConvAlgo algo = plan_.nodes[ui].algo;
-        if (int8 &&
-            (algo == ConvAlgo::kIm2colQuant ||
-             algo == ConvAlgo::kIm2colQuantFused) &&
+        if (int8 && plan_.nodes[ui].algo == ConvAlgo::kIm2colQuantFused &&
             qlayers_[ui].valid()) {
-          const bool fused_q = algo == ConvAlgo::kIm2colQuantFused;
           const std::uint8_t* inq = u8_input(nd.inputs[0]);
           if (qlayers_[ui].emit_u8) {
             qconv2d(inq, geom, qlayers_[ui], bias, /*out_f32=*/nullptr,
-                    u8_acts_[ui].data(), scratch_, fused_q);
+                    u8_acts_[ui].data(), scratch_);
             u8_valid_[ui] = 1;
             float_stale_[ui] = 1;
           } else {
             qconv2d(inq, geom, qlayers_[ui], bias, dst_base,
-                    /*out_u8=*/nullptr, scratch_, fused_q);
+                    /*out_u8=*/nullptr, scratch_);
           }
           break;
         }
@@ -1117,6 +1045,20 @@ Tensor& Engine::weight(int node) {
 }
 
 Tensor& Engine::bias(int node) {
+  OCB_CHECK(node >= 0 && node < graph_.node_count());
+  OCB_CHECK_MSG(!biases_[static_cast<std::size_t>(node)].empty(),
+                "node has no bias");
+  return biases_[static_cast<std::size_t>(node)];
+}
+
+const Tensor& Engine::weight(int node) const {
+  OCB_CHECK(node >= 0 && node < graph_.node_count());
+  OCB_CHECK_MSG(!weights_[static_cast<std::size_t>(node)].empty(),
+                "node has no weights");
+  return weights_[static_cast<std::size_t>(node)];
+}
+
+const Tensor& Engine::bias(int node) const {
   OCB_CHECK(node >= 0 && node < graph_.node_count());
   OCB_CHECK_MSG(!biases_[static_cast<std::size_t>(node)].empty(),
                 "node has no bias");

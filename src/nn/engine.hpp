@@ -7,10 +7,11 @@
 // see src/trainer.)
 //
 // Planning is explicit: prepare(PlanRequest) is the single entry point
-// that decides, per conv layer, which implementation to run (im2col →
-// packed GEMM, direct 1×1, Winograd F(2×2,3×3), or the quantized
-// path), sizes activations for the requested micro-batch, selects the
-// execution precision, and reserves the scratch arena — consulting the
+// that decides, per conv layer, which implementation to run (im2col
+// stripes → packed GEMM, direct 1×1, Winograd F(2×2,3×3), or the
+// quantized stripes) and which weight storage it reads, sizes
+// activations for the requested micro-batch, selects the execution
+// precision, and reserves the scratch arena — consulting the
 // process-wide PlanCache so identical layers across engines share one
 // costed decision (see nn/planner.hpp). One interpreter executes the
 // prepared ExecutionPlan: a single strided pass over the graph that runs
@@ -102,7 +103,6 @@ struct ExecutionPlan {
   int conv_nodes = 0;
   int winograd_nodes = 0;
   int direct_nodes = 0;
-  int im2col_nodes = 0;
   int quant_nodes = 0;
   /// Conv/linear nodes running sparse packed kernels (kSparse or
   /// kSparseHalf storage) and half-stored panels (kHalf or kSparseHalf)
@@ -125,8 +125,9 @@ struct ExecutionPlan {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
 
-  /// Human-readable per-layer table (layer, geometry, chosen algo,
-  /// modelled speedup vs im2col) for logs and benches.
+  /// Human-readable per-layer table (layer, geometry, chosen algo, its
+  /// estimate and the dense im2col stripes' estimate) for logs and
+  /// benches.
   std::string to_text(const Graph& graph) const;
 };
 
@@ -134,8 +135,8 @@ class Engine {
  public:
   /// Allocates and initialises all parameters (He-normal, per-node
   /// deterministic seeds derived from `seed`), packs weight panels and
-  /// builds the baseline plan (fp32, batch 1, im2col everywhere — the
-  /// planner engages through prepare()).
+  /// builds the baseline plan (fp32, batch 1, dense im2col stripes
+  /// everywhere — the planner engages through prepare()).
   Engine(const Graph& graph, std::uint64_t seed = 1);
 
   const Graph& graph() const noexcept { return graph_; }
@@ -165,8 +166,8 @@ class Engine {
   int max_batch() const noexcept { return max_batch_; }
 
   /// Run up to max_batch() frames as one forward pass: every conv
-  /// processes all frames side by side (widened im2col GEMM or batched
-  /// Winograd tiles, per the active plan) so per-layer dispatch
+  /// processes all frames side by side (batch-spanning im2col stripes
+  /// or batched Winograd tiles, per the active plan) so per-layer dispatch
   /// overhead is paid once per batch, not once per frame. Returns
   /// outputs[frame][output], each a batch-1 tensor matching what
   /// run(frame) would produce. run() is the same pass at batch 1.
@@ -194,6 +195,9 @@ class Engine {
   /// nodes) on the next run().
   Tensor& weight(int node);
   Tensor& bias(int node);
+  /// Read-only views of the master weights (the panels stay clean).
+  const Tensor& weight(int node) const;
+  const Tensor& bias(int node) const;
 
   /// The conv scratch arena. Tests assert the frame path stays
   /// allocation-free: stats().grows must remain 0 across run() calls.
@@ -332,6 +336,11 @@ class Engine {
   /// Size deconv_stage_ for max_batch_ images of the largest deconv,
   /// and deconv_bias_ for its phase rows.
   void size_deconv_stage();
+  /// Every conv/linear call rewinds the conv arena and takes its
+  /// scratch (stripe slots, Winograd tiles, INT8 quads) from one block:
+  /// grow the arena so one block holds the hungriest node's scratch
+  /// under the active plan at max_batch_ images.
+  void reserve_conv_scratch();
   /// Verify one node's panels; re-pack from master weights on mismatch
   /// when `recover`. Returns true when all live panels matched.
   bool verify_node(int node, bool recover);
@@ -372,9 +381,7 @@ class Engine {
   ConvScratch scratch_;
   bool has_run_ = false;  ///< activations hold real data (vs zero-fill)
   int max_batch_ = 1;     ///< activation batch capacity (see prepare)
-  std::size_t batch_scratch_bytes_ = 0;  ///< arena block already reserved
-  std::size_t wino_scratch_bytes_ = 0;   ///< ditto, winograd V+M buffers
-  std::size_t fused_scratch_bytes_ = 0;  ///< ditto, fused stripe panels
+  std::size_t conv_scratch_bytes_ = 0;  ///< largest arena block reserved
   /// A deconv's lowered conv result, staged for the interleave. Held
   /// apart from the conv arena, which every conv call rewinds.
   std::vector<float> deconv_stage_;
@@ -413,7 +420,6 @@ class Engine {
   std::vector<std::vector<std::uint8_t>> u8_acts_;  ///< persistent u8 bufs
   std::vector<char> u8_valid_;            ///< u8 buffer current this frame
   mutable std::vector<char> float_stale_; ///< float view needs dequant
-  std::size_t int8_scratch_bytes_ = 0;    ///< extra arena already reserved
 };
 
 }  // namespace ocb::nn

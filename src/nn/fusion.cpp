@@ -9,25 +9,14 @@ namespace ocb::nn {
 namespace {
 
 /// Kernels with EpiMode support: the residual combine happens in the
-/// GEMM / inverse-transform write-back, which only the dense-storage
-/// direct, Winograd and fused-stripe paths implement (the compressed
-/// and materialized-batched kernels always run kStore).
+/// GEMM / inverse-transform write-back, which the dense-storage direct,
+/// Winograd and stripe paths implement (the compressed-storage kernels
+/// always run kStore).
 bool residual_capable(const ConvPlan& plan) noexcept {
   if (plan.storage != WeightStorage::kDense) return false;
   return plan.algo == ConvAlgo::kDirectGemm ||
          plan.algo == ConvAlgo::kWinograd ||
          plan.algo == ConvAlgo::kIm2colFused;
-}
-
-/// A dense materialized-im2col plan can be re-planned as kIm2colFused
-/// to gain the epilogue: the planner only prefers materialized on
-/// cache-resident shapes where the two measure within noise, and the
-/// fold saves the add's full read+read+write pass — a trade the
-/// per-node estimates cannot price. The engine applies the switch when
-/// NodeFusion::upgrade_fused is set.
-bool residual_upgradeable(const ConvPlan& plan) noexcept {
-  return plan.algo == ConvAlgo::kIm2colGemm &&
-         plan.storage == WeightStorage::kDense;
 }
 
 bool is_output(const Graph& graph, int node) noexcept {
@@ -109,9 +98,7 @@ MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
       const auto eligible = [&](int c) {
         const std::size_t cu = static_cast<std::size_t>(c);
         if (graph.node(c).kind != OpKind::kConv) return false;
-        if (!residual_capable(plans[cu]) &&
-            !residual_upgradeable(plans[cu]))
-          return false;
+        if (!residual_capable(plans[cu])) return false;
         if (consumers[cu].size() != 1) return false;  // only this add
         if (is_output(graph, c)) return false;
         if (mp.nodes[cu].place_parent != -1 || mp.nodes[cu].skip)
@@ -124,7 +111,6 @@ MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
       const int other = conv == x1 ? x0 : x1;
       const std::size_t cu = static_cast<std::size_t>(conv);
       NodeFusion& cf = mp.nodes[cu];
-      cf.upgrade_fused = !residual_capable(plans[cu]);
       cf.residual_add = true;
       cf.residual_src = other;
       cf.residual_out = a;

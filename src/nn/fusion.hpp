@@ -62,13 +62,6 @@ struct NodeFusion {
   /// when the add was aliased onto it, one copy otherwise).
   bool residual_add = false;
 
-  /// The conv was planned as materialized im2col (no EpiMode support)
-  /// but a residual add wants to fold into it: the engine must re-plan
-  /// the node as kIm2colFused. Only ever set alongside residual_add,
-  /// and only for dense-storage kIm2colGemm plans — on such shapes the
-  /// two paths measure within noise of each other while the fold
-  /// removes a whole read+read+write pass the estimates cannot see.
-  bool upgrade_fused = false;
   EpiMode mode = EpiMode::kStore;
   Act act = Act::kNone;   ///< effective epilogue activation
   int residual_src = -1;  ///< the add's other operand (x)

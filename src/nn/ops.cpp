@@ -22,16 +22,6 @@ EpiAct to_epilogue_act(Act act) noexcept {
 
 namespace {
 
-/// Bump-allocate the column matrix and lower the input onto it. The
-/// arena rewinds per call: the buffer only lives for the GEMM below.
-float* im2col_scratch(const float* input, const ConvGeometry& geom,
-                      ConvScratch& scratch) {
-  scratch.arena.reset();
-  float* col = scratch.arena.alloc_floats(geom.col_rows() * geom.col_cols());
-  im2col(input, geom, col);
-  return col;
-}
-
 inline float activate_scalar(Act act, float v) noexcept {
   switch (act) {
     case Act::kNone: return v;
@@ -43,165 +33,17 @@ inline float activate_scalar(Act act, float v) noexcept {
   return v;
 }
 
-/// One name for the fused GEMM over any packed-weight format, so the
-/// conv/linear drivers below are written once and instantiated per
-/// storage.
-inline void gemm_any(const PackedA& w, const float* b, float* c,
-                     std::size_t n, const GemmEpilogue& epi) {
-  gemm_packed(w, b, c, n, /*accumulate=*/false, epi);
-}
-inline void gemm_any(const PackedHalfA& w, const float* b, float* c,
-                     std::size_t n, const GemmEpilogue& epi) {
-  gemm_packed_half(w, b, c, n, /*accumulate=*/false, epi);
-}
-inline void gemm_any(const PackedSparseA& w, const float* b, float* c,
-                     std::size_t n, const GemmEpilogue& epi) {
-  gemm_packed_sparse(w, b, c, n, /*accumulate=*/false, epi);
-}
-
-template <typename Packed>
-void conv2d_impl(const float* input, const ConvGeometry& geom,
-                 const Packed& weight, const float* bias, Act act,
-                 float* output, ConvScratch& scratch) {
-  const float* col = im2col_scratch(input, geom, scratch);
-  gemm_any(weight, col, output, geom.col_cols(),
-           GemmEpilogue{bias, to_epilogue_act(act)});
-}
-
-template <typename Packed>
-void conv2d_batched_impl(const float* input, std::size_t in_stride, int batch,
-                         const ConvGeometry& geom, const Packed& weight,
-                         const float* bias, Act act, float* output,
-                         std::size_t out_stride, ConvScratch& scratch) {
-  OCB_CHECK_MSG(batch >= 1, "conv2d_batched needs at least one image");
-  if (batch == 1) {
-    conv2d_impl(input, geom, weight, bias, act, output, scratch);
-    return;
-  }
-  const std::size_t m = weight.rows();
-  const std::size_t n_img = geom.col_cols();
-  const std::size_t n_tot = n_img * static_cast<std::size_t>(batch);
-  scratch.arena.reset();
-  float* col = scratch.arena.alloc_floats(geom.col_rows() * n_tot);
-  for (int b = 0; b < batch; ++b) {
-    im2col(input + static_cast<std::size_t>(b) * in_stride, geom, col, n_tot,
-           static_cast<std::size_t>(b) * n_img);
-  }
-  // One GEMM across all images: column b·n_img+j of `wide` is pixel j of
-  // image b, so each image's columns see the exact single-image k-order
-  // and the wide tiles keep the SIMD kernel saturated even when n_img is
-  // smaller than a column block.
-  float* wide = scratch.arena.alloc_floats(m * n_tot);
-  gemm_any(weight, col, wide, n_tot, GemmEpilogue{bias, to_epilogue_act(act)});
-  // Scatter channel rows back into per-image CHW planes.
-  for (int b = 0; b < batch; ++b) {
-    float* dst = output + static_cast<std::size_t>(b) * out_stride;
-    const float* src = wide + static_cast<std::size_t>(b) * n_img;
-    for (std::size_t c = 0; c < m; ++c) {
-      std::memcpy(dst + c * n_img, src + c * n_tot, n_img * sizeof(float));
-    }
-  }
-}
-
-template <typename Packed>
-void conv2d_direct1x1_impl(const float* input, std::size_t in_stride,
-                           int batch, const ConvGeometry& geom,
-                           const Packed& weight, const float* bias, Act act,
-                           float* output, std::size_t out_stride,
-                           EpiMode mode) {
-  OCB_CHECK_MSG(geom.kernel_h == 1 && geom.kernel_w == 1 &&
-                    geom.stride == 1 && geom.pad == 0,
-                "conv2d_direct1x1 needs a 1x1 stride-1 pad-0 conv");
-  const GemmEpilogue epi{bias, to_epilogue_act(act), mode};
-  for (int b = 0; b < batch; ++b) {
-    gemm_any(weight, input + static_cast<std::size_t>(b) * in_stride,
-             output + static_cast<std::size_t>(b) * out_stride,
-             geom.col_cols(), epi);
-  }
-}
-
 }  // namespace
 
 void conv2d(const float* input, const ConvGeometry& geom, int out_c,
             const float* weight, const float* bias, Act act, float* output,
             ConvScratch& scratch) {
-  const float* col = im2col_scratch(input, geom, scratch);
+  scratch.arena.reset();
+  float* col = scratch.arena.alloc_floats(geom.col_rows() * geom.col_cols());
+  im2col(input, geom, col);
   gemm_ex(weight, col, output, static_cast<std::size_t>(out_c),
           geom.col_rows(), geom.col_cols(), /*accumulate=*/false,
           GemmEpilogue{bias, to_epilogue_act(act)});
-}
-
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedA& weight, const float* bias, Act act, float* output,
-            ConvScratch& scratch) {
-  conv2d_impl(input, geom, weight, bias, act, output, scratch);
-}
-
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch) {
-  conv2d_batched_impl(input, in_stride, batch, geom, weight, bias, act,
-                      output, out_stride, scratch);
-}
-
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedHalfA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch) {
-  conv2d_batched_impl(input, in_stride, batch, geom, weight, bias, act,
-                      output, out_stride, scratch);
-}
-
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedSparseA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch) {
-  conv2d_batched_impl(input, in_stride, batch, geom, weight, bias, act,
-                      output, out_stride, scratch);
-}
-
-void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedA& weight,
-                      const float* bias, Act act, float* output,
-                      std::size_t out_stride, EpiMode mode) {
-  conv2d_direct1x1_impl(input, in_stride, batch, geom, weight, bias, act,
-                        output, out_stride, mode);
-}
-
-void conv2d_fused(const float* input, std::size_t in_stride, int batch,
-                  const ConvGeometry& geom, const PackedA& weight,
-                  const float* bias, Act act, float* output,
-                  std::size_t out_stride, ConvScratch& scratch,
-                  EpiMode mode) {
-  OCB_CHECK_MSG(batch >= 1, "conv2d_fused needs at least one image");
-  scratch.arena.reset();
-  float* panels =
-      scratch.arena.alloc_floats(fused_conv_scratch_floats(geom));
-  const GemmEpilogue epi{bias, to_epilogue_act(act), mode};
-  for (int b = 0; b < batch; ++b) {
-    const Im2colPanelPacker packer(
-        input + static_cast<std::size_t>(b) * in_stride, geom);
-    gemm_packed_im2col(weight, packer,
-                       output + static_cast<std::size_t>(b) * out_stride,
-                       geom.col_cols(), panels, epi);
-  }
-}
-
-void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedHalfA& weight,
-                      const float* bias, Act act, float* output,
-                      std::size_t out_stride, EpiMode mode) {
-  conv2d_direct1x1_impl(input, in_stride, batch, geom, weight, bias, act,
-                        output, out_stride, mode);
-}
-
-void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedSparseA& weight,
-                      const float* bias, Act act, float* output,
-                      std::size_t out_stride, EpiMode mode) {
-  conv2d_direct1x1_impl(input, in_stride, batch, geom, weight, bias, act,
-                        output, out_stride, mode);
 }
 
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
@@ -404,24 +246,6 @@ void linear(const float* input, std::size_t in_features, int out_features,
     for (std::size_t i = 0; i < in_features; ++i) acc += w[i] * input[i];
     output[o] = activate_scalar(act, acc);
   }
-}
-
-void linear(const float* input, const PackedA& weight, const float* bias,
-            Act act, float* output) {
-  gemm_packed(weight, input, output, /*n=*/1, /*accumulate=*/false,
-              GemmEpilogue{bias, to_epilogue_act(act)});
-}
-
-void linear(const float* input, const PackedHalfA& weight, const float* bias,
-            Act act, float* output) {
-  gemm_packed_half(weight, input, output, /*n=*/1, /*accumulate=*/false,
-                   GemmEpilogue{bias, to_epilogue_act(act)});
-}
-
-void linear(const float* input, const PackedSparseA& weight,
-            const float* bias, Act act, float* output) {
-  gemm_packed_sparse(weight, input, output, /*n=*/1, /*accumulate=*/false,
-                     GemmEpilogue{bias, to_epilogue_act(act)});
 }
 
 }  // namespace ocb::nn

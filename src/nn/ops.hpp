@@ -1,18 +1,21 @@
 // Kernel implementations for the inference engine.
 //
-// All buffers are contiguous CHW float32 for a batch of one; the Engine
-// drives these per node. Convolution lowers to im2col + GEMM with the
-// bias + activation epilogue fused into the GEMM write-back; the other
-// ops are direct loops (they are bandwidth-bound and simple).
+// Buffers are contiguous CHW float32 images; the Engine drives these
+// per node, batched ops taking `batch` images a fixed stride apart.
+// Convolution lowers onto the packed GEMM with the bias + activation
+// epilogue fused into its write-back; the other ops are direct loops
+// (they are bandwidth-bound and simple).
 //
-// Two conv entry points: the pointer-weight overload packs the weight
-// matrix per call (tests, one-shot users), while the PackedA overload
-// consumes a weight panel cached by the Engine at load time — the
-// steady-state frame path.
+// The engine's convs run on weight panels it packed at load time: the
+// im2col stripes (conv2d_fused, any weight storage), the direct 1×1
+// GEMM or Winograd, as the planner chose. The pointer-weight conv2d
+// packs per call and materializes its column matrix — a one-shot form
+// for tests and the training path, never the frame path.
 #pragma once
 
 #include <vector>
 
+#include "core/error.hpp"
 #include "nn/layer.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/gemm.hpp"
@@ -22,8 +25,8 @@
 namespace ocb::nn {
 
 /// Scratch space reused across conv invocations; the arena is reserved
-/// once from the engine's dry-run plan so the im2col buffer costs a
-/// pointer bump per layer instead of an allocator round-trip.
+/// once from the engine's dry-run plan so a conv's stripe panels cost
+/// a pointer bump per layer instead of an allocator round-trip.
 struct ConvScratch {
   Arena arena;
 };
@@ -37,80 +40,80 @@ void conv2d(const float* input, const ConvGeometry& geom, int out_c,
             const float* weight, const float* bias, Act act, float* output,
             ConvScratch& scratch);
 
-/// conv2d over a pre-packed weight matrix (see PackedA) — no per-call
-/// packing, fused epilogue, arena-backed im2col.
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedA& weight, const float* bias, Act act, float* output,
-            ConvScratch& scratch);
+namespace detail {
+/// The fused-epilogue GEMM over any packed-weight format, so the
+/// drivers below are written once for every WeightStorage.
+inline void gemm_any(const PackedA& w, const float* b, float* c,
+                     std::size_t n, const GemmEpilogue& epi) {
+  gemm_packed(w, b, c, n, /*accumulate=*/false, epi);
+}
+inline void gemm_any(const PackedHalfA& w, const float* b, float* c,
+                     std::size_t n, const GemmEpilogue& epi) {
+  gemm_packed_half(w, b, c, n, /*accumulate=*/false, epi);
+}
+inline void gemm_any(const PackedSparseA& w, const float* b, float* c,
+                     std::size_t n, const GemmEpilogue& epi) {
+  gemm_packed_sparse(w, b, c, n, /*accumulate=*/false, epi);
+}
+}  // namespace detail
 
-/// Batched conv2d over a pre-packed weight matrix: lowers `batch` CHW
-/// images (`in_stride` floats apart) side by side into one
-/// [col_rows × batch·col_cols] column matrix, runs a *single* fused
-/// GEMM across all columns — the micro-batching hot path, which
-/// amortises per-call overhead and fills SIMD column tiles that a
-/// small single-image spatial extent leaves short — then scatters the
-/// channel-major result back to per-image CHW planes (`out_stride`
-/// floats apart). batch == 1 is exactly conv2d.
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch);
+// The packed-weight convs and linear take any weight format — PackedA,
+// PackedHalfA or PackedSparseA (the engine dispatches on
+// ConvPlan::storage). Images are `in_stride` / `out_stride` floats
+// apart. `mode` fuses a residual add into the GEMM epilogue: output is
+// preloaded with (or aliased onto) the residual and combined per
+// EpiMode — dense panels only; the compressed kernels run kStore.
 
 /// 1×1 stride-1 pad-0 conv executed directly on the CHW input: the
 /// input already *is* the [in_c × h·w] column matrix, so the lowering
 /// copy (and its scratch) is skipped entirely. Batched images run one
 /// GEMM each. The planner picks this when the copy traffic outweighs
-/// the widened-GEMM benefit (see nn/planner.hpp). `mode` fuses a
-/// residual add into the GEMM epilogue: output is preloaded with (or
-/// aliased onto) the residual and combined per EpiMode.
+/// the widened-GEMM benefit (see nn/planner.hpp).
+template <typename Packed>
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedA& weight,
+                      const ConvGeometry& geom, const Packed& weight,
                       const float* bias, Act act, float* output,
                       std::size_t out_stride,
-                      EpiMode mode = EpiMode::kStore);
+                      EpiMode mode = EpiMode::kStore) {
+  OCB_CHECK_MSG(geom.kernel_h == 1 && geom.kernel_w == 1 &&
+                    geom.stride == 1 && geom.pad == 0,
+                "conv2d_direct1x1 needs a 1x1 stride-1 pad-0 conv");
+  const GemmEpilogue epi{bias, to_epilogue_act(act), mode};
+  for (int b = 0; b < batch; ++b)
+    detail::gemm_any(weight, input + static_cast<std::size_t>(b) * in_stride,
+                     output + static_cast<std::size_t>(b) * out_stride,
+                     geom.col_cols(), epi);
+}
 
-/// Fused im2col-free conv (ConvAlgo::kIm2colFused): column stripes are
-/// packed straight from each CHW image and consumed by the stripe GEMM
-/// before the next stripe is packed, so the full column matrix never
-/// exists (see gemm_packed_im2col). Scratch use is
-/// fused_conv_scratch_floats(geom) — independent of the output size.
-/// `mode` fuses a residual add exactly as in conv2d_direct1x1.
+/// The im2col conv (ConvAlgo::kIm2colFused), the engine's one im2col
+/// lowering: the columns of all `batch` images are packed in stripes
+/// straight from the CHW inputs and consumed by the stripe GEMM before
+/// the next stripe is packed, so the full column matrix never exists
+/// and small maps still share one weight pass per stripe (see
+/// gemm_packed_im2col). Scratch use is fused_conv_scratch_floats(geom,
+/// out_c, batch) — independent of the output size.
+template <typename Packed>
 void conv2d_fused(const float* input, std::size_t in_stride, int batch,
-                  const ConvGeometry& geom, const PackedA& weight,
+                  const ConvGeometry& geom, const Packed& weight,
                   const float* bias, Act act, float* output,
                   std::size_t out_stride, ConvScratch& scratch,
-                  EpiMode mode = EpiMode::kStore);
-
-/// Compressed-storage variants of the conv GEMM paths: identical
-/// lowering, arena use and fused epilogue, but the GEMM reads
-/// PackedHalfA (16-bit weights widened in-register) or PackedSparseA
-/// (surviving-column panels) instead of dense fp32 panels. The engine
-/// dispatches on ConvPlan::storage (see nn/conv_plan.hpp).
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedHalfA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch);
-void conv2d_batched(const float* input, std::size_t in_stride, int batch,
-                    const ConvGeometry& geom, const PackedSparseA& weight,
-                    const float* bias, Act act, float* output,
-                    std::size_t out_stride, ConvScratch& scratch);
-void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedHalfA& weight,
-                      const float* bias, Act act, float* output,
-                      std::size_t out_stride,
-                      EpiMode mode = EpiMode::kStore);
-void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
-                      const ConvGeometry& geom, const PackedSparseA& weight,
-                      const float* bias, Act act, float* output,
-                      std::size_t out_stride,
-                      EpiMode mode = EpiMode::kStore);
+                  EpiMode mode = EpiMode::kStore) {
+  OCB_CHECK_MSG(batch >= 1, "conv2d_fused needs at least one image");
+  scratch.arena.reset();
+  float* panels = scratch.arena.alloc_floats(
+      fused_conv_scratch_floats(geom, weight.rows(), batch));
+  const Im2colPanelPacker packer(input, geom, batch, in_stride);
+  gemm_packed_im2col(weight, packer, output, out_stride, panels,
+                     GemmEpilogue{bias, to_epilogue_act(act), mode});
+}
 
 /// Winograd F(2×2,3×3) conv (kernel 3, stride 1 only) over weight
 /// panels pre-transformed by winograd::pack_weights: per batch, lower
 /// all images' tiles side by side, run the 16 pointwise GEMMs, and
 /// inverse-transform with bias + activation fused. Layout contracts
-/// (ld/col_offset) match conv2d_batched's wide-im2col convention; V
-/// and M live in the arena (see winograd::scratch_floats).
+/// (ld/col_offset) match the wide im2col convention of
+/// im2col(image, geom, col, ld, col_offset); V and M live in the arena
+/// (see winograd::scratch_floats).
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
                      const ConvGeometry& geom,
                      const std::vector<PackedA>& u_panels, const float* bias,
@@ -167,15 +170,13 @@ void global_avg_pool(const float* input, int c, int h, int w, float* output);
 void linear(const float* input, std::size_t in_features, int out_features,
             const float* weight, const float* bias, Act act, float* output);
 
-/// linear over a pre-packed weight matrix with fused epilogue.
-void linear(const float* input, const PackedA& weight, const float* bias,
-            Act act, float* output);
-
-/// linear over compressed weight panels — the n == 1 GEMV shape is the
-/// bandwidth-bound case half storage exists for.
-void linear(const float* input, const PackedHalfA& weight, const float* bias,
-            Act act, float* output);
-void linear(const float* input, const PackedSparseA& weight,
-            const float* bias, Act act, float* output);
+/// linear over packed weight panels with fused epilogue — the n == 1
+/// GEMV shape is the bandwidth-bound case half storage exists for.
+template <typename Packed>
+void linear(const float* input, const Packed& weight, const float* bias,
+            Act act, float* output) {
+  detail::gemm_any(weight, input, output, /*n=*/1,
+                   GemmEpilogue{bias, to_epilogue_act(act)});
+}
 
 }  // namespace ocb::nn

@@ -103,41 +103,13 @@ double copy_ms(double bytes, double gbps) noexcept {
   return bytes / (std::max(0.05, gbps) * 1e6);
 }
 
-/// Effective bandwidth for the fused candidates' stripe-panel traffic.
+/// Effective bandwidth for the im2col stripes' panel traffic.
 /// A zero cache_gbps (older aggregate-initialised models) derives one
 /// from mem_gbps: the panels are sized to sit in L2, which on every
 /// machine class we model is a small multiple of streaming bandwidth.
 double cache_gbps_of(const KernelCostModel& model) noexcept {
   return model.cache_gbps > 0.0 ? model.cache_gbps
                                 : 3.0 * std::max(0.05, model.mem_gbps);
-}
-
-/// Column windows under this size are priced as cache-resident: their
-/// write and read-back never leave the fast levels. Mirrors the fused
-/// stripe budget in tensor/gemm.cpp (fused_panel_cols), which packs to
-/// the same bound — the two must agree on where "resident" ends or the
-/// planner would price stripes the packer cannot actually hold.
-constexpr double kCacheResidentBytes = 3.0 * 512.0 * 1024.0;
-
-/// Streaming rate of the level *behind* the resident cache (the big
-/// shared cache / DRAM blend the B-panel re-walks hit). Sequential
-/// streams there run well above the gathered-copy rate mem_gbps but
-/// below the resident-panel rate doubled is the calibrated middle.
-double rewalk_gbps_of(const KernelCostModel& model) noexcept {
-  return 2.0 * cache_gbps_of(model);
-}
-
-/// The packed GEMM drivers walk the whole B matrix once per A row
-/// panel (6 rows on the AVX2 kernel). Re-walk traffic beyond the first
-/// pass is free while B sits in cache and streams from the outer
-/// levels once it does not — the term that makes the materialized and
-/// fused candidates diverge on exactly the bandwidth-bound shapes.
-double b_rewalk_ms(double b_bytes, int out_c,
-                   const KernelCostModel& model) noexcept {
-  if (b_bytes <= kCacheResidentBytes) return 0.0;
-  const double panels = std::ceil(static_cast<double>(out_c) / 6.0);
-  if (panels <= 1.0) return 0.0;
-  return copy_ms((panels - 1.0) * b_bytes, rewalk_gbps_of(model));
 }
 
 }  // namespace
@@ -217,27 +189,36 @@ double est_im2col_storage_ms(const ConvPlanKey& key,
                              const KernelCostModel& model,
                              WeightStorage storage, double density) noexcept {
   const ConvGeometry geom = key.geometry();
-  const double rows = static_cast<double>(geom.col_rows());
-  const double n_tot = static_cast<double>(geom.col_cols()) * key.batch;
-  const double col_bytes = rows * n_tot * sizeof(float);
-  // Lowering: gathered read of the input window plus the column write.
-  // A column matrix small enough to stay resident never pays the
-  // streaming rate; past the budget both the write and the GEMM's
-  // read-back go through memory, and every further A-panel pass
-  // re-streams the whole matrix.
-  const double lower_gbps = col_bytes <= kCacheResidentBytes
-                                ? cache_gbps_of(model)
-                                : model.mem_gbps;
-  double ms = copy_ms(2.0 * col_bytes, lower_gbps);
-  ms += b_rewalk_ms(col_bytes, key.out_c, model);
-  ms += gemm_storage_ms(static_cast<std::size_t>(key.out_c), geom.col_rows(),
+  const std::size_t rows = geom.col_rows();
+  const std::size_t n_img = geom.col_cols();
+  const double n_tot = static_cast<double>(n_img) * key.batch;
+  const double k_bytes = static_cast<double>(rows) * sizeof(float);
+  // Stripe packing gathers the input window once from memory; the
+  // stripe-sized panel it writes, and the kernel's read-back, stay
+  // cache-resident.
+  double ms = copy_ms(k_bytes * n_tot, model.mem_gbps);
+  ms += copy_ms(2.0 * k_bytes * n_tot, cache_gbps_of(model));
+  // The columns run over the whole batch: one GEMM dispatch per stripe
+  // and one packed-A re-read per stripe beyond the first (gemm_storage_ms
+  // below charges the first).
+  const double w = static_cast<double>(fused_panel_cols(rows));
+  const double extra = std::ceil(n_tot / w) - 1.0;
+  const double a_bytes = static_cast<double>(key.out_c) * rows *
+                         (storage_half(storage) ? 2.0 : 4.0) *
+                         (storage_sparse(storage) ? density : 1.0);
+  ms += extra * model.gemm_overhead_us * 1e-3;
+  ms += copy_ms(extra * a_bytes, cache_gbps_of(model));
+  // A stripe that spans images runs into a staging tile and is copied
+  // out per image. Each image boundary splits at most one stripe, and
+  // every stripe spans once the maps are smaller than a stripe.
+  if (key.batch > 1 && n_img % static_cast<std::size_t>(w) != 0) {
+    const double spanned = std::min(n_tot, (key.batch - 1) * w);
+    ms += copy_ms(2.0 * key.out_c * spanned * sizeof(float),
+                  cache_gbps_of(model));
+  }
+  ms += gemm_storage_ms(static_cast<std::size_t>(key.out_c), rows,
                         static_cast<std::size_t>(n_tot), model, storage,
                         density);
-  if (key.batch > 1) {
-    // Widened batches stage the GEMM result channel-major and scatter
-    // it back to per-image CHW planes.
-    ms += copy_ms(2.0 * key.out_c * n_tot * sizeof(float), model.mem_gbps);
-  }
   return ms;
 }
 
@@ -283,63 +264,6 @@ double est_winograd_ms(const ConvPlanKey& key,
   return ms;
 }
 
-double est_int8_ms(const ConvPlanKey& key,
-                   const KernelCostModel& model) noexcept {
-  const ConvGeometry geom = key.geometry();
-  const double rows = static_cast<double>(geom.col_rows());
-  const double n_tot = static_cast<double>(geom.col_cols()) * key.batch;
-  const double in_elems = static_cast<double>(key.in_c) * key.in_h *
-                          key.in_w * key.batch;
-  // Activation quantization (float read + u8 write), quad-layout
-  // lowering (u8 in/out), then the u8×s8 GEMM with fp32 write-back.
-  // The quad matrix prices like the fp32 column matrix: resident under
-  // the budget, streamed plus per-panel re-walks past it.
-  const double quad_bytes = rows * n_tot;
-  double ms = copy_ms(in_elems * (sizeof(float) + 1.0), model.mem_gbps);
-  ms += copy_ms(2.0 * quad_bytes, quad_bytes <= kCacheResidentBytes
-                                      ? cache_gbps_of(model)
-                                      : model.mem_gbps);
-  ms += b_rewalk_ms(quad_bytes, key.out_c, model);
-  const double flops = 2.0 * key.out_c * rows * n_tot;
-  const double ramp_n = n_tot / (n_tot + 48.0);
-  ms += flops / (std::max(0.05, model.int8_gops * ramp_n) * 1e6) +
-        model.gemm_overhead_us * 1e-3;
-  return ms;
-}
-
-double est_im2col_fused_ms(const ConvPlanKey& key,
-                           const KernelCostModel& model) noexcept {
-  const ConvGeometry geom = key.geometry();
-  const double rows = static_cast<double>(geom.col_rows());
-  const double n_img = static_cast<double>(geom.col_cols());
-  const double n_tot = n_img * key.batch;
-  // Stripe packing still gathers the input window once from memory,
-  // but the column panel it writes is stripe-sized: the write and the
-  // kernel's read-back both stay cache-resident, and the materialized
-  // path's full-size column write / read, A-panel re-walks and
-  // (batch > 1) channel-major scatter disappear entirely.
-  double ms = copy_ms(rows * n_tot * sizeof(float), model.mem_gbps);
-  ms += copy_ms(2.0 * rows * n_tot * sizeof(float), cache_gbps_of(model));
-  // What the stripes cost instead: one kernel dispatch per stripe and
-  // one packed-A re-read per stripe beyond the first of each image.
-  const double stripe_cols = std::min(
-      1024.0, std::max(16.0, kCacheResidentBytes / (rows * sizeof(float))));
-  const double stripes = std::ceil(n_img / stripe_cols) * key.batch;
-  // gemm_ms below already charges one dispatch per image; only the
-  // stripes beyond the first of each image add overhead and A re-reads.
-  const double extra = std::max(0.0, stripes - key.batch);
-  const double a_bytes = static_cast<double>(key.out_c) * rows * sizeof(float);
-  ms += extra * model.gemm_overhead_us * 1e-3;
-  ms += copy_ms(extra * a_bytes, cache_gbps_of(model));
-  // The GEMM runs per image (the packer walks one CHW plane), so small
-  // spatial extents pay the dispatch overhead batch times — the same
-  // trade the direct candidate makes.
-  ms += static_cast<double>(key.batch) *
-        gemm_ms(static_cast<std::size_t>(key.out_c), geom.col_rows(),
-                geom.col_cols(), model);
-  return ms;
-}
-
 double est_int8_fused_ms(const ConvPlanKey& key,
                          const KernelCostModel& model) noexcept {
   const ConvGeometry geom = key.geometry();
@@ -351,12 +275,15 @@ double est_int8_fused_ms(const ConvPlanKey& key,
   // Activation quantization is unchanged; the quad lowering's u8
   // write + read drop from memory to cache bandwidth, with the
   // gathered u8 input read still paying the memory rate. Stripes add
-  // one dispatch each, like the fp32 fused candidate.
+  // one dispatch each, like the fp32 stripes.
   double ms = copy_ms(in_elems * (sizeof(float) + 1.0), model.mem_gbps);
   ms += copy_ms(rows * n_tot, model.mem_gbps);
   ms += copy_ms(2.0 * rows * n_tot, cache_gbps_of(model));
+  // Quad stripes hold `rows` bytes per column under the same L2 budget
+  // as the fp32 stripes (tensor/qgemm.cpp).
+  constexpr double kPanelBudgetBytes = 3.0 * 512.0 * 1024.0;
   const double stripe_cols =
-      std::min(1024.0, std::max(16.0, kCacheResidentBytes / rows));
+      std::min(1024.0, std::max(16.0, kPanelBudgetBytes / rows));
   ms += (std::ceil(n_img / stripe_cols) - 1.0) * key.batch *
         model.gemm_overhead_us * 1e-3;
   const double flops = 2.0 * key.out_c * rows * n_tot;
@@ -372,7 +299,7 @@ ConvPlan plan_conv(const ConvPlanKey& key, const PlannerConfig& config) {
   // decision, and a custom cost model may only cache into a cache its
   // owner supplied (where every entry shares that model).
   const bool flags_full = config.enable_winograd && config.enable_direct &&
-                          config.enable_fp32_fallback && config.enable_fused;
+                          config.enable_fp32_fallback;
   const bool cacheable =
       config.use_cache && flags_full &&
       (!config.cost.valid() || config.cache != nullptr);
@@ -401,31 +328,23 @@ ConvPlan plan_conv(const ConvPlanKey& key, const PlannerConfig& config) {
     }
   };
 
+  const bool direct_ok = config.enable_direct && direct_applicable(key);
   if (key.precision == Precision::kInt8) {
-    plan.algo = ConvAlgo::kIm2colQuant;
-    plan.est_ms = est_int8_ms(key, model);
-    if (config.enable_fused)
-      consider(ConvAlgo::kIm2colQuantFused, WeightStorage::kDense, 1.0,
-               est_int8_fused_ms(key, model));
+    plan.algo = ConvAlgo::kIm2colQuantFused;
+    plan.est_ms = est_int8_fused_ms(key, model);
     if (config.enable_fp32_fallback) {
       // A tiny layer can be cheaper in fp32 once quantize/dequantize
       // traffic is priced in; the engine then runs just that node in
       // fp32 (its consumers read the float activation as usual).
-      consider(ConvAlgo::kIm2colGemm, WeightStorage::kDense, 1.0,
+      consider(ConvAlgo::kIm2colFused, WeightStorage::kDense, 1.0,
                plan.est_im2col_ms);
-      if (config.enable_direct && direct_applicable(key))
+      if (direct_ok)
         consider(ConvAlgo::kDirectGemm, WeightStorage::kDense, 1.0,
                  est_direct_ms(key, model));
     }
   } else {
-    plan.algo = ConvAlgo::kIm2colGemm;
+    plan.algo = ConvAlgo::kIm2colFused;
     plan.est_ms = plan.est_im2col_ms;
-    if (config.enable_fused)
-      // Fused stripes are a dense-panel path; under kFp16 it competes
-      // as a legal dense candidate just like winograd does.
-      consider(ConvAlgo::kIm2colFused, WeightStorage::kDense, 1.0,
-               est_im2col_fused_ms(key, model));
-    const bool direct_ok = config.enable_direct && direct_applicable(key);
     if (direct_ok)
       consider(ConvAlgo::kDirectGemm, WeightStorage::kDense, 1.0,
                est_direct_ms(key, model));
@@ -439,45 +358,19 @@ ConvPlan plan_conv(const ConvPlanKey& key, const PlannerConfig& config) {
     // competes on equal terms.
     const bool sparse = key.sparsity_pct > 0;
     const double density = 1.0 - static_cast<double>(key.sparsity_pct) / 100.0;
-    if (key.precision == Precision::kFp16) {
-      consider(ConvAlgo::kIm2colGemm, WeightStorage::kHalf, 1.0,
-               est_im2col_storage_ms(key, model, WeightStorage::kHalf, 1.0));
+    const auto consider_storage = [&](WeightStorage storage, double d) {
+      consider(ConvAlgo::kIm2colFused, storage, d,
+               est_im2col_storage_ms(key, model, storage, d));
       if (direct_ok)
-        consider(ConvAlgo::kDirectGemm, WeightStorage::kHalf, 1.0,
-                 est_direct_storage_ms(key, model, WeightStorage::kHalf, 1.0));
-    }
+        consider(ConvAlgo::kDirectGemm, storage, d,
+                 est_direct_storage_ms(key, model, storage, d));
+    };
+    if (key.precision == Precision::kFp16)
+      consider_storage(WeightStorage::kHalf, 1.0);
     if (sparse) {
-      consider(
-          ConvAlgo::kIm2colGemm, WeightStorage::kSparse, density,
-          est_im2col_storage_ms(key, model, WeightStorage::kSparse, density));
-      if (direct_ok)
-        consider(ConvAlgo::kDirectGemm, WeightStorage::kSparse, density,
-                 est_direct_storage_ms(key, model, WeightStorage::kSparse,
-                                       density));
-      if (key.precision == Precision::kFp16) {
-        consider(ConvAlgo::kIm2colGemm, WeightStorage::kSparseHalf, density,
-                 est_im2col_storage_ms(key, model, WeightStorage::kSparseHalf,
-                                       density));
-        if (direct_ok)
-          consider(ConvAlgo::kDirectGemm, WeightStorage::kSparseHalf, density,
-                   est_direct_storage_ms(key, model,
-                                         WeightStorage::kSparseHalf, density));
-      }
-    }
-
-    // Near-tie bias: on cache-resident shapes the materialized and
-    // fused paths measure within noise of each other, but only the
-    // fused kernel can carry a residual epilogue (nn/fusion.cpp) and
-    // its scratch is stripe-sized rather than the full column matrix.
-    // When dense materialized wins the estimate by under 10%, take the
-    // stripes; real wins (compressed storage, direct, winograd) stand.
-    if (config.enable_fused && plan.algo == ConvAlgo::kIm2colGemm &&
-        plan.storage == WeightStorage::kDense) {
-      const double fused_ms = est_im2col_fused_ms(key, model);
-      if (fused_ms <= plan.est_ms * 1.10) {
-        plan.algo = ConvAlgo::kIm2colFused;
-        plan.est_ms = fused_ms;
-      }
+      consider_storage(WeightStorage::kSparse, density);
+      if (key.precision == Precision::kFp16)
+        consider_storage(WeightStorage::kSparseHalf, density);
     }
   }
 

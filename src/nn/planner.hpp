@@ -47,12 +47,11 @@ struct KernelCostModel {
                                      ///< vs dense (0 = default derate)
   double sparse_compute_scale = 0.0; ///< sparse GEMM throughput on the
                                      ///< surviving work vs dense
-  /// Bandwidth the fused im2col-free candidates see for their panel
-  /// traffic: stripes are sized to stay cache-resident
-  /// (fused_panel_cols), so the column write + GEMM read hit L2 instead
-  /// of DRAM. 0 falls back to a multiple of mem_gbps — cost models
-  /// aggregate-initialised with the earlier fields keep pricing the
-  /// fused candidates sensibly.
+  /// Bandwidth the im2col stripes see for their panel traffic: stripes
+  /// are sized to stay cache-resident (fused_panel_cols), so the column
+  /// write + GEMM read hit L2 instead of DRAM. 0 falls back to a
+  /// multiple of mem_gbps — cost models aggregate-initialised with the
+  /// earlier fields keep pricing the stripes sensibly.
   double cache_gbps = 0.0;
 
   bool valid() const noexcept { return gemm_gflops > 0.0; }
@@ -77,10 +76,6 @@ struct PlannerConfig {
   /// model prices the quantized path slower (tiny layers, where the
   /// quantize/dequantize traffic dominates).
   bool enable_fp32_fallback = true;
-  /// Enumerate the fused im2col-free candidates (kIm2colFused /
-  /// kIm2colQuantFused): on-the-fly stripe packing that never
-  /// materializes the column matrix (see gemm_packed_im2col).
-  bool enable_fused = true;
   /// Consult and populate the plan cache. Plans computed under
   /// non-default candidate toggles are never inserted (a restricted
   /// enumeration must not shadow the full one for later callers).
@@ -98,30 +93,26 @@ bool direct_applicable(const ConvPlanKey& key) noexcept;
 
 /// Per-candidate latency estimates (milliseconds, whole batch). Public
 /// so tests and bench_conv_planner can introspect the model.
+///
+/// The im2col estimate prices the one im2col lowering, batch-spanning
+/// stripes (gemm_packed_im2col): the input gather streams at mem_gbps,
+/// the stripe panel's write + kernel read at cache_gbps, each stripe
+/// beyond the first adds a dispatch and a packed-A re-read, stripes
+/// spanning images add their staging-tile copy, and the GEMM runs over
+/// the whole batch's columns. est_im2col_storage_ms prices it for
+/// compressed weight panels (`density` is the surviving weight
+/// fraction, ignored for kDense/kHalf); kDense with density 1.0 is
+/// est_im2col_ms exactly. The direct estimates likewise.
 double est_im2col_ms(const ConvPlanKey& key,
                      const KernelCostModel& model) noexcept;
 double est_direct_ms(const ConvPlanKey& key,
                      const KernelCostModel& model) noexcept;
 double est_winograd_ms(const ConvPlanKey& key,
                        const KernelCostModel& model) noexcept;
-double est_int8_ms(const ConvPlanKey& key,
-                   const KernelCostModel& model) noexcept;
-
-/// Fused im2col-free candidates: the same GEMM compute term as the
-/// materialized estimates, but the column matrix is replaced by
-/// cache-resident stripe panels — the input gather still streams at
-/// mem_gbps, the panel write + kernel read are priced at cache_gbps,
-/// and the materialized path's full-size column write/read-back and
-/// (for batch > 1) the channel-major scatter disappear.
-double est_im2col_fused_ms(const ConvPlanKey& key,
-                           const KernelCostModel& model) noexcept;
+/// The INT8 stripes over the u8 quad layout, plus activation
+/// quantization; one pass per image.
 double est_int8_fused_ms(const ConvPlanKey& key,
                          const KernelCostModel& model) noexcept;
-
-/// Storage-aware variants: the same im2col / direct candidates with the
-/// GEMM priced for compressed weight panels. `density` is the surviving
-/// weight fraction (ignored for kDense/kHalf); passing kDense with
-/// density 1.0 reproduces est_im2col_ms / est_direct_ms exactly.
 double est_im2col_storage_ms(const ConvPlanKey& key,
                              const KernelCostModel& model,
                              WeightStorage storage, double density) noexcept;

@@ -87,36 +87,21 @@ QuantizedLayer quantize_layer(const float* weight, std::size_t m,
 
 void qconv2d(const std::uint8_t* input_q, const ConvGeometry& geom,
              const QuantizedLayer& layer, const float* bias, float* out_f32,
-             std::uint8_t* out_u8, ConvScratch& scratch, bool fused) {
+             std::uint8_t* out_u8, ConvScratch& scratch) {
   OCB_CHECK(layer.valid());
   scratch.arena.reset();
   const QGemmEpilogue epi = layer.epilogue(bias);
-  if (fused) {
-    auto* panels = static_cast<std::uint8_t*>(
-        scratch.arena.alloc(fused_qconv_scratch_bytes(geom)));
-    const Im2colQuadPanelPacker packer(
-        input_q, geom, static_cast<std::uint8_t>(layer.in_q.zero_point));
-    if (out_f32 != nullptr) {
-      qgemm_packed_im2col(layer.packed, packer, out_f32, geom.col_cols(),
-                          panels, epi);
-    } else {
-      qgemm_packed_im2col_u8(layer.packed, packer, out_u8, geom.col_cols(),
-                             layer.out_q.scale, layer.out_q.zero_point,
-                             panels, epi);
-    }
-    return;
-  }
-  auto* quads = static_cast<std::uint8_t*>(
-      scratch.arena.alloc(quad_buffer_bytes(geom.col_rows(),
-                                            geom.col_cols())));
-  im2col_u8_quads(
-      input_q, geom,
-      static_cast<std::uint8_t>(layer.in_q.zero_point), quads);
+  auto* panels = static_cast<std::uint8_t*>(
+      scratch.arena.alloc(fused_qconv_scratch_bytes(geom)));
+  const Im2colQuadPanelPacker packer(
+      input_q, geom, static_cast<std::uint8_t>(layer.in_q.zero_point));
   if (out_f32 != nullptr) {
-    qgemm_packed(layer.packed, quads, out_f32, geom.col_cols(), epi);
+    qgemm_packed_im2col(layer.packed, packer, out_f32, geom.col_cols(),
+                        panels, epi);
   } else {
-    qgemm_packed_u8(layer.packed, quads, out_u8, geom.col_cols(),
-                    layer.out_q.scale, layer.out_q.zero_point, epi);
+    qgemm_packed_im2col_u8(layer.packed, packer, out_u8, geom.col_cols(),
+                           layer.out_q.scale, layer.out_q.zero_point, panels,
+                           epi);
   }
 }
 

@@ -84,16 +84,16 @@ QuantizedLayer quantize_layer(const float* weight, std::size_t m,
                               std::size_t k, const TensorQuant& in_q,
                               const TensorQuant& out_q, EpiAct act);
 
-/// INT8 convolution over an already-quantized u8 input image (CHW,
-/// quantized with `layer.in_q`). Lowering scratch (the activation quad
-/// buffer) comes from `scratch`, which is reset here — mirroring the
-/// fp32 conv2d contract. Exactly one of `out_f32`/`out_u8` is non-null.
-/// With `fused` (ConvAlgo::kIm2colQuantFused) the quad buffer is never
-/// materialized: stripes pack on the fly and scratch use drops to
-/// fused_qconv_scratch_bytes(geom).
+/// INT8 convolution (ConvAlgo::kIm2colQuantFused) over an
+/// already-quantized u8 input image (CHW, quantized with `layer.in_q`).
+/// The activation quad layout is packed in stripes straight from the
+/// image, never materialized whole; the stripe buffers
+/// (fused_qconv_scratch_bytes(geom)) come from `scratch`, which is
+/// reset here — mirroring the fp32 conv contract. Exactly one of
+/// `out_f32`/`out_u8` is non-null.
 void qconv2d(const std::uint8_t* input_q, const ConvGeometry& geom,
              const QuantizedLayer& layer, const float* bias, float* out_f32,
-             std::uint8_t* out_u8, ConvScratch& scratch, bool fused = false);
+             std::uint8_t* out_u8, ConvScratch& scratch);
 
 /// INT8 linear over an already-quantized u8 input vector of `k`
 /// features. Exactly one of `out_f32`/`out_u8` is non-null.

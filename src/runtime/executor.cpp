@@ -19,7 +19,7 @@ HostExecutor::HostExecutor(const nn::Graph& graph, std::string name,
                            std::uint64_t seed)
     : engine_(graph, seed), name_(std::move(name)) {
   // Time the program's default plan, not the constructor's unplanned
-  // all-im2col baseline.
+  // baseline (dense im2col stripes on every conv).
   engine_.prepare(nn::PlanRequest{});
   const nn::FeatShape in = graph.input_shape();
   input_ = Tensor({1, in.c, in.h, in.w});

@@ -251,27 +251,12 @@ void packed_panel_scalar(const PackedA& a, std::size_t p, const float* b,
 
 }  // namespace
 
-void gemm_packed_scalar(const PackedA& a, const float* b, float* c,
-                        std::size_t n, bool accumulate,
-                        const GemmEpilogue& epilogue, bool parallel) {
+void gemm_packed_scalar(const PackedA& a, const float* b, std::size_t ldb,
+                        float* c, std::size_t ldc, std::size_t n,
+                        bool accumulate, const GemmEpilogue& epilogue,
+                        bool parallel) {
   auto panel_job = [&](std::size_t p) {
-    packed_panel_scalar(a, p, b, n, c, n, n, accumulate, epilogue);
-  };
-  const std::size_t panels = a.panel_count();
-  if (parallel && panels > 1) {
-    parallel_for(0, panels, panel_job, /*grain=*/1);
-  } else {
-    for (std::size_t p = 0; p < panels; ++p) panel_job(p);
-  }
-}
-
-void gemm_packed_stripe_scalar(const PackedA& a, const float* b,
-                               std::size_t ldb, float* c, std::size_t ldc,
-                               std::size_t n, const GemmEpilogue& epilogue,
-                               bool parallel) {
-  auto panel_job = [&](std::size_t p) {
-    packed_panel_scalar(a, p, b, ldb, c, ldc, n, /*accumulate=*/false,
-                        epilogue);
+    packed_panel_scalar(a, p, b, ldb, c, ldc, n, accumulate, epilogue);
   };
   const std::size_t panels = a.panel_count();
   if (parallel && panels > 1) {
@@ -287,7 +272,7 @@ void gemm_packed_stripe_scalar(const PackedA& a, const float* b,
 // Dispatch
 // ---------------------------------------------------------------------------
 
-namespace {
+namespace detail {
 
 bool use_simd(const GemmConfig& config) noexcept {
   switch (config.path) {
@@ -297,6 +282,10 @@ bool use_simd(const GemmConfig& config) noexcept {
   }
   return false;
 }
+
+}  // namespace detail
+
+namespace {
 
 // Per-thread packing buffer so repeated gemm() calls (im2col conv in a
 // streaming worker, autograd) do not reallocate per invocation.
@@ -339,11 +328,11 @@ void gemm_ex(const float* a, const float* b, float* c, std::size_t m,
     return;
   }
 
-  if (use_simd(config)) {
+  if (detail::use_simd(config)) {
     detail::record_dispatch_level(simd::Level::kAvx2);
     PackedA& pack = thread_pack_buffer();
     pack.pack(a, m, k);
-    detail::gemm_packed_avx2(pack, b, c, n, accumulate, epilogue,
+    detail::gemm_packed_avx2(pack, b, n, c, n, n, accumulate, epilogue,
                              config.parallel);
     return;
   }
@@ -354,8 +343,8 @@ void gemm_ex(const float* a, const float* b, float* c, std::size_t m,
     // C; the packed kernel handles both accumulating modes in-place.
     PackedA& pack = thread_pack_buffer();
     pack.pack(a, m, k);
-    detail::gemm_packed_scalar(pack, b, c, n, /*accumulate=*/false, epilogue,
-                               config.parallel);
+    detail::gemm_packed_scalar(pack, b, n, c, n, n, /*accumulate=*/false,
+                               epilogue, config.parallel);
     return;
   }
   gemm_scalar_blocked(a, b, c, m, k, n, accumulate, config);
@@ -397,22 +386,16 @@ void gemm_packed(const PackedA& a, const float* b, float* c, std::size_t n,
             epilogue.act);
     return;
   }
-  if (use_simd(config)) {
-    detail::record_dispatch_level(simd::Level::kAvx2);
-    detail::gemm_packed_avx2(a, b, c, n, accumulate, epilogue,
-                             config.parallel);
-  } else {
-    detail::record_dispatch_level(simd::Level::kScalar);
-    detail::gemm_packed_scalar(a, b, c, n, accumulate, epilogue,
-                               config.parallel);
-  }
+  detail::pick_kernel(detail::use_simd(config), detail::gemm_packed_avx2,
+                      detail::gemm_packed_scalar)(
+      a, b, n, c, n, n, accumulate, epilogue, config.parallel);
 #if defined(OCB_FAULT_HOOKS)
   fault_hook::detail::maybe_corrupt_lanes(c, m, n, n);
 #endif
 }
 
 // ---------------------------------------------------------------------------
-// Fused im2col-free conv GEMM
+// Im2col-free conv GEMM (the stripe driver lives in gemm_kernels.hpp)
 // ---------------------------------------------------------------------------
 
 std::size_t fused_panel_cols(std::size_t k) noexcept {
@@ -435,70 +418,35 @@ std::size_t fused_panel_buffers(std::size_t stripes) noexcept {
       1, std::min({stripes, executors, std::size_t{16}}));
 }
 
-std::size_t fused_conv_scratch_floats(const ConvGeometry& geom) noexcept {
-  const std::size_t k = geom.col_rows();
-  const std::size_t n = geom.col_cols();
+namespace detail {
+
+std::size_t stripe_slot_floats(std::size_t k, std::size_t m,
+                               std::size_t image_cols, int batch) noexcept {
   const std::size_t w = fused_panel_cols(k);
-  const std::size_t stripes = (n + w - 1) / w;
-  return fused_panel_buffers(stripes) * k * w;
+  const bool spans = batch > 1 && image_cols % w != 0;
+  return (k + (spans ? m : 0)) * w;
+}
+
+}  // namespace detail
+
+std::size_t fused_conv_scratch_floats(const ConvGeometry& geom,
+                                      std::size_t rows, int batch) noexcept {
+  const std::size_t k = geom.col_rows();
+  const std::size_t n = geom.col_cols() * static_cast<std::size_t>(batch);
+  const std::size_t w = fused_panel_cols(k);
+  return fused_panel_buffers((n + w - 1) / w) *
+         detail::stripe_slot_floats(k, rows, geom.col_cols(), batch);
 }
 
 void gemm_packed_im2col(const PackedA& a, const Im2colPanelPacker& packer,
-                        float* c, std::size_t ldc, float* panels,
+                        float* c, std::size_t out_stride, float* scratch,
                         const GemmEpilogue& epilogue,
                         const GemmConfig& config) {
-  const std::size_t m = a.rows();
-  const std::size_t n = packer.cols();
-  const std::size_t k = a.cols();
-  if (m == 0 || n == 0) return;
-  OCB_CHECK_MSG(k == packer.rows(),
-                "packed weight depth != im2col column rows");
-  OCB_CHECK_MSG(k > 0, "fused conv GEMM requires a non-empty reduction");
-  OCB_CHECK_MSG(ldc >= n, "output row stride below the column count");
-
-  const std::size_t w = fused_panel_cols(k);
-  const std::size_t stripes = (n + w - 1) / w;
-  const std::size_t bufs = fused_panel_buffers(stripes);
-  const bool simd = use_simd(config);
-  detail::record_dispatch_level(simd ? simd::Level::kAvx2
-                                     : simd::Level::kScalar);
-
-  auto run_stripe = [&](std::size_t s, float* panel, bool inner_parallel) {
-    const std::size_t j0 = s * w;
-    const std::size_t jw = std::min(w, n - j0);
-    packer.pack(j0, jw, panel);
-    if (simd) {
-      detail::gemm_packed_stripe_avx2(a, panel, jw, c + j0, ldc, jw,
-                                      epilogue, inner_parallel);
-    } else {
-      detail::gemm_packed_stripe_scalar(a, panel, jw, c + j0, ldc, jw,
-                                        epilogue, inner_parallel);
-    }
-  };
-
-  const std::size_t executors = ThreadPool::global().size() + 1;
-  if (config.parallel && bufs > 1 && stripes >= executors) {
-    // Wave parallelism: `bufs` stripes pack and multiply concurrently,
-    // each wave slot owning one panel buffer; panels never outlive the
-    // wave so the scratch footprint stays bufs × K × w.
-    for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
-      const std::size_t wave = std::min(bufs, stripes - s0);
-      parallel_for(
-          0, wave,
-          [&](std::size_t i) {
-            run_stripe(s0 + i, panels + i * k * w, /*inner_parallel=*/false);
-          },
-          /*grain=*/1);
-    }
-  } else {
-    // Too few stripes to win by stripe parallelism: keep one buffer hot
-    // and let the row-panel loop inside each stripe parallelise.
-    for (std::size_t s = 0; s < stripes; ++s)
-      run_stripe(s, panels, config.parallel);
-  }
-#if defined(OCB_FAULT_HOOKS)
-  fault_hook::detail::maybe_corrupt_lanes(c, m, n, ldc);
-#endif
+  detail::im2col_stripes(
+      a,
+      detail::pick_kernel(detail::use_simd(config), detail::gemm_packed_avx2,
+                          detail::gemm_packed_scalar),
+      packer, c, out_stride, scratch, epilogue, config.parallel);
 }
 
 }  // namespace ocb

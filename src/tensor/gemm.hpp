@@ -6,10 +6,10 @@
 //   - an AVX2/FMA micro-kernel over tile-major packed A panels
 //     (tensor/gemm_avx2.cpp, compiled with -mavx2 -mfma only), and
 //   - a cache-blocked scalar fallback, bit-stable across machines.
-// Convolution lowers onto this through im2col (see im2col.hpp); the
-// engine pre-packs each layer's weight matrix once (PackedA) and fuses
-// bias + activation into the GEMM write-back so the conv hot path makes
-// a single pass over C.
+// Convolution lowers onto this through on-the-fly im2col stripes (see
+// gemm_packed_im2col and im2col.hpp); the engine pre-packs each layer's
+// weight matrix once (PackedA) and fuses bias + activation into the
+// GEMM write-back so the conv hot path makes a single pass over C.
 #pragma once
 
 #include <cstddef>
@@ -144,37 +144,47 @@ void gemm_naive(const float* a, const float* b, float* c, std::size_t m,
                 std::size_t k, std::size_t n, bool accumulate = false);
 
 // ---------------------------------------------------------------------------
-// Fused im2col-free convolution GEMM (oneDNN/FBGEMM-style on-the-fly
-// packing). The full K×N column matrix is never materialized: the
-// column range is processed in cache-resident stripes, each packed
-// straight from the NCHW image by an Im2colPanelPacker and consumed by
-// the stripe GEMM before the next stripe is packed. Bytes moved drop
-// from 2·K·N floats (write + read back of the column matrix through
-// DRAM) to K·stripe floats resident in L2.
+// Im2col-free convolution GEMM (oneDNN/FBGEMM-style on-the-fly
+// packing), the engine's one conv lowering. The K×N column matrix is
+// never materialized: the column range — every output pixel of every
+// image in the batch — is processed in cache-resident stripes, each
+// packed straight from the NCHW images by an Im2colPanelPacker and
+// consumed by the stripe GEMM before the next stripe is packed. Bytes
+// moved drop from 2·K·N floats (write + read back of the column matrix
+// through DRAM) to K·stripe floats resident in L2, and small feature
+// maps still run one weight pass per stripe rather than per image.
 // ---------------------------------------------------------------------------
 
-/// Stripe width (columns) for a fused conv with reduction depth k:
-/// sized so one K×width panel stays within the L2 budget, clamped to
-/// [16, 512] and rounded to the 16-column register tile.
+/// Stripe width (columns) for a conv with reduction depth k: sized so
+/// one K×width panel stays within the L2 budget, clamped to [16, 1024]
+/// and rounded to the 16-column register tile.
 std::size_t fused_panel_cols(std::size_t k) noexcept;
 
 /// Number of stripe panels packed concurrently (bounded by the global
-/// pool size); the fused driver processes stripes in waves of this
-/// many buffers.
+/// pool size); the driver processes stripes in waves of this many
+/// buffers.
 std::size_t fused_panel_buffers(std::size_t stripes) noexcept;
 
-/// Scratch floats gemm_packed_im2col needs for one image of `geom`
-/// (fused_panel_buffers × col_rows × fused_panel_cols). The engine
-/// reserves this in its conv arena at plan time.
-std::size_t fused_conv_scratch_floats(const ConvGeometry& geom) noexcept;
+/// Scratch floats gemm_packed_im2col needs for `batch` images of
+/// `geom` with `rows` output rows: per wave buffer, a K×w panel, plus
+/// an M×w staging tile when stripes can span images (batch > 1 and
+/// the per-image column count is not a multiple of the stripe width).
+/// The engine reserves this in its conv arena at plan time.
+std::size_t fused_conv_scratch_floats(const ConvGeometry& geom,
+                                      std::size_t rows, int batch) noexcept;
 
-/// C[M × ldc] = act(packed(A) · im2col(image) + bias) without ever
-/// materializing the column matrix. `c` addresses an M×cols() window
-/// with row stride ldc (>= packer.cols()); `panels` must hold
-/// fused_conv_scratch_floats of the packer's geometry. Epilogue modes
-/// apply exactly as in gemm_packed.
+/// For every image b of the packer's batch:
+///   C_b[M × image_cols] = act(A · im2col(image_b) + bias)
+/// with C_b at c + b·out_stride (row stride image_cols, the CHW plane),
+/// without ever materializing the column matrix. A stripe inside one
+/// image is written in place; a stripe spanning images is multiplied
+/// into a staging tile (preloaded from C under a residual EpiMode) and
+/// copied out per image. `scratch` must hold fused_conv_scratch_floats
+/// of the packer's geometry, M and batch. Epilogue modes apply as in
+/// gemm_packed; the half and sparse overloads (sgemm_sparse.hpp) take
+/// EpiMode::kStore only.
 void gemm_packed_im2col(const PackedA& a, const Im2colPanelPacker& packer,
-                        float* c, std::size_t ldc, float* panels,
+                        float* c, std::size_t out_stride, float* scratch,
                         const GemmEpilogue& epilogue = {},
                         const GemmConfig& config = {});
 

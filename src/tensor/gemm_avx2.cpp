@@ -184,18 +184,11 @@ void packed_driver_avx2(const PackedA& a, const float* b, std::size_t ldb,
 
 }  // namespace
 
-void gemm_packed_avx2(const PackedA& a, const float* b, float* c,
-                      std::size_t n, bool accumulate,
-                      const GemmEpilogue& epilogue, bool parallel) {
-  packed_driver_avx2(a, b, n, c, n, n, accumulate, epilogue, parallel);
-}
-
-void gemm_packed_stripe_avx2(const PackedA& a, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t n, const GemmEpilogue& epilogue,
-                             bool parallel) {
-  packed_driver_avx2(a, b, ldb, c, ldc, n, /*accumulate=*/false, epilogue,
-                     parallel);
+void gemm_packed_avx2(const PackedA& a, const float* b, std::size_t ldb,
+                      float* c, std::size_t ldc, std::size_t n,
+                      bool accumulate, const GemmEpilogue& epilogue,
+                      bool parallel) {
+  packed_driver_avx2(a, b, ldb, c, ldc, n, accumulate, epilogue, parallel);
 }
 
 }  // namespace ocb::detail
@@ -208,19 +201,13 @@ bool avx2_compiled() noexcept { return false; }
 
 namespace ocb::detail {
 
-void gemm_packed_avx2(const PackedA& a, const float* b, float* c,
-                      std::size_t n, bool accumulate,
-                      const GemmEpilogue& epilogue, bool parallel) {
+void gemm_packed_avx2(const PackedA& a, const float* b, std::size_t ldb,
+                      float* c, std::size_t ldc, std::size_t n,
+                      bool accumulate, const GemmEpilogue& epilogue,
+                      bool parallel) {
   // The dispatcher never routes here when avx2_compiled() is false;
   // keep a correct fallback anyway rather than a trap.
-  gemm_packed_scalar(a, b, c, n, accumulate, epilogue, parallel);
-}
-
-void gemm_packed_stripe_avx2(const PackedA& a, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t n, const GemmEpilogue& epilogue,
-                             bool parallel) {
-  gemm_packed_stripe_scalar(a, b, ldb, c, ldc, n, epilogue, parallel);
+  gemm_packed_scalar(a, b, ldb, c, ldc, n, accumulate, epilogue, parallel);
 }
 
 }  // namespace ocb::detail

@@ -4,41 +4,45 @@
 // Both kernels consume the same PackedA panel layout, so a matrix
 // packed once is valid whichever path the dispatcher picks (the
 // OCB_DISABLE_SIMD override can flip mid-process without repacking).
+// The im2col stripe driver shared by every weight format lives here
+// too.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
+#include "core/error.hpp"
+#include "parallel/parallel_for.hpp"
+#include "tensor/fault_hook.hpp"
 #include "tensor/gemm.hpp"
 
 namespace ocb::detail {
 
-/// AVX2/FMA packed kernel: C[(panels·6)×N] (+)= packed(A)·B with the
-/// epilogue fused into the write-back. Defined in gemm_avx2.cpp; must
-/// only be called when simd::active() == Level::kAvx2.
-void gemm_packed_avx2(const PackedA& a, const float* b, float* c,
-                      std::size_t n, bool accumulate,
-                      const GemmEpilogue& epilogue, bool parallel);
+/// A packed-panel kernel: the C window (M rows of stride ldc) (+)=
+/// A · B, B a window of n columns with row stride ldb, epilogue fused
+/// into the write-back. The classic call passes ldb == ldc == n; the
+/// im2col stripe driver a packed panel and the output's row stride.
+/// Every weight format has an AVX2 and a scalar kernel of this shape.
+template <typename Packed>
+using PackedKernel = void (*)(const Packed& a, const float* b,
+                              std::size_t ldb, float* c, std::size_t ldc,
+                              std::size_t n, bool accumulate,
+                              const GemmEpilogue& epilogue, bool parallel);
 
-/// Scalar packed kernel with the identical traversal and epilogue
+/// AVX2/FMA dense kernel over PackedA panels. Defined in
+/// gemm_avx2.cpp; must only be called when simd::active() ==
+/// Level::kAvx2.
+void gemm_packed_avx2(const PackedA& a, const float* b, std::size_t ldb,
+                      float* c, std::size_t ldc, std::size_t n,
+                      bool accumulate, const GemmEpilogue& epilogue,
+                      bool parallel);
+
+/// Scalar dense kernel with the identical traversal and epilogue
 /// semantics — the fallback and the oracle for the AVX2 path.
-void gemm_packed_scalar(const PackedA& a, const float* b, float* c,
-                        std::size_t n, bool accumulate,
-                        const GemmEpilogue& epilogue, bool parallel);
-
-/// Stripe variants for the fused im2col-free path: B is a packed
-/// K×n panel with row stride `ldb` (a column window of the virtual
-/// column matrix) while C keeps the full output row stride `ldc`. The
-/// n==ldb==ldc case degenerates to the kernels above. The stripe is at
-/// most fused_panel_cols wide, so no further column blocking happens
-/// inside.
-void gemm_packed_stripe_avx2(const PackedA& a, const float* b,
-                             std::size_t ldb, float* c, std::size_t ldc,
-                             std::size_t n, const GemmEpilogue& epilogue,
-                             bool parallel);
-void gemm_packed_stripe_scalar(const PackedA& a, const float* b,
-                               std::size_t ldb, float* c, std::size_t ldc,
-                               std::size_t n, const GemmEpilogue& epilogue,
-                               bool parallel);
+void gemm_packed_scalar(const PackedA& a, const float* b, std::size_t ldb,
+                        float* c, std::size_t ldc, std::size_t n,
+                        bool accumulate, const GemmEpilogue& epilogue,
+                        bool parallel);
 
 /// Apply `epilogue` to row i of C (scalar; used for k == 0 edge cases
 /// and the scalar blocked path).
@@ -47,5 +51,116 @@ void epilogue_row_scalar(float* row, std::size_t n, float bias, EpiAct act);
 /// Record the level a dispatcher picked (see gemm_last_level()). Also
 /// written by the INT8 dispatcher in qgemm.cpp.
 void record_dispatch_level(simd::Level level) noexcept;
+
+/// Whether `config` routes to the AVX2 kernels on this host.
+bool use_simd(const GemmConfig& config) noexcept;
+
+/// Records the level `simd` selects (see gemm_last_level()) and returns
+/// that level's kernel.
+template <typename Packed>
+PackedKernel<Packed> pick_kernel(bool simd, PackedKernel<Packed> avx2,
+                                 PackedKernel<Packed> scalar) noexcept {
+  record_dispatch_level(simd ? simd::Level::kAvx2 : simd::Level::kScalar);
+  return simd ? avx2 : scalar;
+}
+
+/// Floats of one wave slot of the im2col stripe driver: the K×w
+/// packed panel, plus an M×w staging tile when a stripe can span
+/// images (fused_conv_scratch_floats is this times the wave width).
+std::size_t stripe_slot_floats(std::size_t k, std::size_t m,
+                               std::size_t image_cols, int batch) noexcept;
+
+/// The stripe driver behind every gemm_packed_im2col overload. Walks
+/// the packer's batch columns in fused_panel_cols(k) stripes, packs
+/// each into a wave slot of `scratch` and multiplies it with `kernel`
+/// (the weight format's AVX2 or scalar kernel). A stripe inside one
+/// image writes that image's CHW plane directly; a stripe spanning
+/// images runs into the slot's staging tile — preloaded from C when
+/// the epilogue accumulates — and is copied out per image.
+template <typename Packed>
+void im2col_stripes(const Packed& a, PackedKernel<Packed> kernel,
+                    const Im2colPanelPacker& packer, float* c,
+                    std::size_t out_stride, float* scratch,
+                    const GemmEpilogue& epilogue, bool parallel) {
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n_img = packer.image_cols();
+  const std::size_t n = packer.cols();
+  if (m == 0 || n == 0) return;
+  OCB_CHECK_MSG(k == packer.rows(),
+                "packed weight depth != im2col column rows");
+  OCB_CHECK_MSG(k > 0, "im2col conv GEMM requires a non-empty reduction");
+  OCB_CHECK_MSG(packer.batch() == 1 || out_stride >= m * n_img,
+                "output image stride below one image's output");
+
+  const std::size_t w = fused_panel_cols(k);
+  const std::size_t stripes = (n + w - 1) / w;
+  const std::size_t bufs = fused_panel_buffers(stripes);
+  const std::size_t slot_floats =
+      stripe_slot_floats(k, m, n_img, packer.batch());
+
+  auto run_stripe = [&](std::size_t s, float* slot, bool inner_parallel) {
+    const std::size_t j0 = s * w;
+    const std::size_t jw = std::min(w, n - j0);
+    packer.pack(j0, jw, slot);
+    const std::size_t b0 = j0 / n_img;
+    if ((j0 + jw - 1) / n_img == b0) {
+      kernel(a, slot, jw, c + b0 * out_stride + (j0 - b0 * n_img), n_img, jw,
+             /*accumulate=*/false, epilogue, inner_parallel);
+      return;
+    }
+    // Spanning stripe: image b's slice [j, j + len) of the stripe is
+    // columns [pix, pix + len) of its CHW plane.
+    float* tile = slot + k * w;
+    const auto each_slice = [&](bool to_tile) {
+      for (std::size_t j = j0; j < j0 + jw;) {
+        const std::size_t b = j / n_img;
+        const std::size_t pix = j - b * n_img;
+        const std::size_t len = std::min(j0 + jw - j, n_img - pix);
+        float* img = c + b * out_stride + pix;
+        float* t = tile + (j - j0);
+        for (std::size_t r = 0; r < m; ++r) {
+          if (to_tile) {
+            std::copy_n(img + r * n_img, len, t + r * jw);
+          } else {
+            std::copy_n(t + r * jw, len, img + r * n_img);
+          }
+        }
+        j += len;
+      }
+    };
+    if (epilogue.mode != EpiMode::kStore) each_slice(/*to_tile=*/true);
+    kernel(a, slot, jw, tile, jw, jw, /*accumulate=*/false, epilogue,
+           inner_parallel);
+    each_slice(/*to_tile=*/false);
+  };
+
+  const std::size_t executors = ThreadPool::global().size() + 1;
+  if (parallel && bufs > 1 && stripes >= executors) {
+    // Wave parallelism: `bufs` stripes pack and multiply concurrently,
+    // each wave slot owning one panel (and tile); slots never outlive
+    // the wave, so the scratch footprint stays bufs slots.
+    for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
+      const std::size_t wave = std::min(bufs, stripes - s0);
+      parallel_for(
+          0, wave,
+          [&](std::size_t i) {
+            run_stripe(s0 + i, scratch + i * slot_floats,
+                       /*inner_parallel=*/false);
+          },
+          /*grain=*/1);
+    }
+  } else {
+    // Too few stripes to win by stripe parallelism: keep one slot hot
+    // and let the row-panel loop inside each stripe parallelise.
+    for (std::size_t s = 0; s < stripes; ++s)
+      run_stripe(s, scratch, parallel);
+  }
+#if defined(OCB_FAULT_HOOKS)
+  for (int b = 0; b < packer.batch(); ++b)
+    fault_hook::detail::maybe_corrupt_lanes(
+        c + static_cast<std::size_t>(b) * out_stride, m, n_img, n_img);
+#endif
+}
 
 }  // namespace ocb::detail

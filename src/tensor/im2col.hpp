@@ -49,17 +49,6 @@ void im2col(const float* image, const ConvGeometry& geom, float* col,
 /// `image_grad` must be pre-zeroed by the caller.
 void col2im(const float* col, const ConvGeometry& geom, float* image_grad);
 
-/// im2col over a quantized u8 image, emitting the activation *quad*
-/// layout the INT8 GEMM consumes directly (see qgemm.hpp): quad row q
-/// holds columns 0..col_cols-1 × 4 consecutive col_rows (k) bytes.
-/// Spatial padding writes `pad_value` — the activation zero-point, so a
-/// padded pixel dequantizes to 0. Trailing bytes of the last partial
-/// quad are zeroed (the matching weight bytes are zero, so their value
-/// is irrelevant; zero keeps runs deterministic). `out` must hold
-/// quad_buffer_bytes(col_rows(), col_cols()).
-void im2col_u8_quads(const std::uint8_t* image, const ConvGeometry& geom,
-                     std::uint8_t pad_value, std::uint8_t* out);
-
 namespace detail {
 /// Strided gather used by Im2colPanelPacker on stride-2 rows:
 /// out[i] = src[2·i] for i in [0, n). AVX2 deinterleave when the
@@ -67,22 +56,32 @@ namespace detail {
 void gather_stride2(const float* src, int n, float* out) noexcept;
 }  // namespace detail
 
-/// On-the-fly im2col panel packer — the fused (materialization-free)
-/// lowering. Instead of expanding the full [col_rows × col_cols] column
-/// matrix into scratch, the fused GEMM asks for one cache-resident
-/// column window at a time: pack() walks the (c, kh, kw) strides of the
-/// NCHW image directly and zero-fills padding, producing exactly the
-/// columns [col0, col0 + width) of the matrix the materialized im2col
-/// would have built. Row r of the window lands at dst[r·width + j].
-/// Values are bitwise identical to the materialized lowering, so the
-/// two paths differ only in summation grouping at register-tile edges.
+/// On-the-fly im2col panel packer — the engine's one conv lowering.
+/// Instead of expanding the full [col_rows × col_cols] column matrix
+/// into scratch, the stripe GEMM asks for one cache-resident column
+/// window at a time: pack() walks the (c, kh, kw) strides of the NCHW
+/// images directly and zero-fills padding. The columns run over a
+/// whole batch, image-major: column b·col_cols + j is pixel j of image
+/// b, the layout im2col(image, geom, col, ld, col_offset) would build
+/// for the batch side by side. Row r of a window lands at
+/// dst[r·width + j]; a window may span images. Values are bitwise
+/// identical to the materialized lowering.
 class Im2colPanelPacker {
  public:
-  Im2colPanelPacker(const float* image, const ConvGeometry& geom) noexcept
-      : image_(image), geom_(geom) {}
+  /// `batch` images of `geom`, image b at image + b·image_stride.
+  Im2colPanelPacker(const float* image, const ConvGeometry& geom, int batch,
+                    std::size_t image_stride) noexcept
+      : image_(image), geom_(geom), batch_(batch),
+        image_stride_(image_stride) {}
 
   std::size_t rows() const noexcept { return geom_.col_rows(); }
-  std::size_t cols() const noexcept { return geom_.col_cols(); }
+  /// Columns of the whole batch.
+  std::size_t cols() const noexcept {
+    return image_cols() * static_cast<std::size_t>(batch_);
+  }
+  /// Columns (output pixels) of one image.
+  std::size_t image_cols() const noexcept { return geom_.col_cols(); }
+  int batch() const noexcept { return batch_; }
   const ConvGeometry& geometry() const noexcept { return geom_; }
 
   /// Pack columns [col0, col0 + width) into the row-major panel `dst`
@@ -92,14 +91,17 @@ class Im2colPanelPacker {
  private:
   const float* image_;
   ConvGeometry geom_;
+  int batch_;
+  std::size_t image_stride_;
 };
 
-/// Quantized twin of Im2colPanelPacker: packs a column window of the
-/// activation quad layout (see im2col_u8_quads) for the fused INT8
-/// path. The window's quad row q holds bytes
-/// dst[(q·width + j)·4 + (k mod 4)]; spatial padding writes the
-/// activation zero-point and partial-quad tail bytes are zeroed, both
-/// matching the materialized lowering byte for byte.
+/// Quantized twin of Im2colPanelPacker over one u8 image: packs a
+/// column window of the activation quad layout the INT8 GEMM consumes
+/// (see qgemm.hpp). The window's quad row q holds bytes
+/// dst[(q·width + j)·4 + (k mod 4)]; spatial padding writes `pad_value`
+/// — the activation zero-point, so a padded pixel dequantizes to 0 —
+/// and the partial final quad's tail bytes are zeroed (the matching
+/// weight bytes are zero, so zero only keeps runs deterministic).
 class Im2colQuadPanelPacker {
  public:
   Im2colQuadPanelPacker(const std::uint8_t* image, const ConvGeometry& geom,

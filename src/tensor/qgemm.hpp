@@ -16,7 +16,8 @@
 //   - Activations are consumed in "quad" layout: ceil(K/4) quad rows,
 //     each row holding N columns × 4 consecutive-k bytes. This is what
 //     `vpmaddubsw`+`vpmaddwd` reduce to one i32 lane per column, and
-//     im2col can emit it directly (im2col_u8_quads, im2col.hpp).
+//     the conv path packs it stripe by stripe straight from the u8
+//     image (Im2colQuadPanelPacker, im2col.hpp).
 //
 // The fused epilogue turns the i32 accumulator into
 //   act((acc − zp_a·Σw_row) · (scale_a·scale_w[row]) + bias[row])
@@ -72,7 +73,8 @@ inline std::size_t quad_buffer_bytes(std::size_t k, std::size_t n) noexcept {
 }
 
 /// Repack a row-major K×N u8 matrix into quad layout (tests and
-/// one-shot callers; the conv path uses im2col_u8_quads instead).
+/// one-shot callers; the conv path packs stripes with
+/// Im2colQuadPanelPacker instead).
 /// `out` must hold quad_buffer_bytes(k, n); k-padding bytes are zeroed.
 void pack_u8_quads(const std::uint8_t* b, std::size_t k, std::size_t n,
                    std::uint8_t* out);

@@ -273,9 +273,10 @@ void PackedSparseA::unpack_masked_dense(float* out) const {
 
 namespace detail {
 
-void gemm_half_scalar(const PackedHalfA& a, const float* b, float* c,
-                      std::size_t n, bool accumulate,
-                      const GemmEpilogue& epilogue, bool parallel) {
+void gemm_half_scalar(const PackedHalfA& a, const float* b, std::size_t ldb,
+                      float* c, std::size_t ldc, std::size_t n,
+                      bool accumulate, const GemmEpilogue& epilogue,
+                      bool parallel) {
   constexpr std::size_t MR = PackedHalfA::kRowTile;
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
@@ -285,10 +286,12 @@ void gemm_half_scalar(const PackedHalfA& a, const float* b, float* c,
     const std::uint16_t* ap = a.panel(p);
     const std::size_t i0 = p * MR;
     const std::size_t mr = std::min(MR, m - i0);
-    float* cpanel = c + i0 * n;
-    if (!accumulate) std::memset(cpanel, 0, mr * n * sizeof(float));
+    float* cpanel = c + i0 * ldc;
+    if (!accumulate)
+      for (std::size_t r = 0; r < mr; ++r)
+        std::memset(cpanel + r * ldc, 0, n * sizeof(float));
     for (std::size_t kk = 0; kk < k; ++kk) {
-      const float* brow = b + kk * n;
+      const float* brow = b + kk * ldb;
       // Widen the whole k-group once; the j-loop then matches the dense
       // scalar kernel exactly.
       float wide[MR];
@@ -296,14 +299,14 @@ void gemm_half_scalar(const PackedHalfA& a, const float* b, float* c,
         wide[r] = half_bits_to_float(ap[kk * MR + r], format);
       for (std::size_t r = 0; r < mr; ++r) {
         const float aval = wide[r];
-        float* crow = cpanel + r * n;
+        float* crow = cpanel + r * ldc;
         for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
       }
     }
     if (epilogue.active()) {
       for (std::size_t r = 0; r < mr; ++r)
         epilogue_row_scalar(
-            cpanel + r * n, n,
+            cpanel + r * ldc, n,
             epilogue.bias != nullptr ? epilogue.bias[i0 + r] : 0.0f,
             epilogue.act);
     }
@@ -317,7 +320,8 @@ void gemm_half_scalar(const PackedHalfA& a, const float* b, float* c,
   }
 }
 
-void gemm_sparse_scalar(const PackedSparseA& a, const float* b, float* c,
+void gemm_sparse_scalar(const PackedSparseA& a, const float* b,
+                        std::size_t ldb, float* c, std::size_t ldc,
                         std::size_t n, bool accumulate,
                         const GemmEpilogue& epilogue, bool parallel) {
   constexpr std::size_t MR = PackedSparseA::kRowTile;
@@ -330,10 +334,12 @@ void gemm_sparse_scalar(const PackedSparseA& a, const float* b, float* c,
     const std::size_t mr = std::min(MR, m - i0);
     const std::size_t nnz = a.panel_nnz(p);
     const std::uint32_t* idx = a.panel_indices(p);
-    float* cpanel = c + i0 * n;
-    if (!accumulate) std::memset(cpanel, 0, mr * n * sizeof(float));
+    float* cpanel = c + i0 * ldc;
+    if (!accumulate)
+      for (std::size_t r = 0; r < mr; ++r)
+        std::memset(cpanel + r * ldc, 0, n * sizeof(float));
     for (std::size_t t = 0; t < nnz; ++t) {
-      const float* brow = b + static_cast<std::size_t>(idx[t]) * n;
+      const float* brow = b + static_cast<std::size_t>(idx[t]) * ldb;
       float wide[MR];
       if (half) {
         const std::uint16_t* vals = a.panel_values_half(p) + t * MR;
@@ -349,14 +355,14 @@ void gemm_sparse_scalar(const PackedSparseA& a, const float* b, float* c,
         // pruning mask fixed at pack time, not from the data, so the
         // skip pattern is the same every frame.
         if (aval == 0.0f) continue;  // ocb-lint: allow(zero-skip)
-        float* crow = cpanel + r * n;
+        float* crow = cpanel + r * ldc;
         for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
       }
     }
     if (epilogue.active()) {
       for (std::size_t r = 0; r < mr; ++r)
         epilogue_row_scalar(
-            cpanel + r * n, n,
+            cpanel + r * ldc, n,
             epilogue.bias != nullptr ? epilogue.bias[i0 + r] : 0.0f,
             epilogue.act);
     }
@@ -378,20 +384,21 @@ void gemm_sparse_scalar(const PackedSparseA& a, const float* b, float* c,
 
 namespace {
 
-bool use_simd(const GemmConfig& config) noexcept {
-  switch (config.path) {
-    case GemmPath::kScalar: return false;
-    case GemmPath::kSimd:
-    case GemmPath::kAuto: return simd::active() == simd::Level::kAvx2;
-  }
-  return false;
+/// The kernel `config` selects for these panels (recording its level):
+/// fp16-stored values need F16C on the AVX2 path as well.
+detail::PackedKernel<PackedHalfA> half_kernel(
+    const PackedHalfA& a, const GemmConfig& config) noexcept {
+  return detail::pick_kernel(
+      detail::use_simd(config) && detail::half_simd_ok(a.format()),
+      detail::gemm_half_avx2, detail::gemm_half_scalar);
 }
 
-// fp16 widening on the AVX2 path may use F16C (every AVX2-era core has
-// it, but the dispatcher checks rather than assumes); bf16 widens with
-// plain integer ops and needs no extra ISA.
-bool half_simd_ok(HalfFormat format) noexcept {
-  return format == HalfFormat::kBf16 || simd::cpu_supports_f16c();
+detail::PackedKernel<PackedSparseA> sparse_kernel(
+    const PackedSparseA& a, const GemmConfig& config) noexcept {
+  return detail::pick_kernel(
+      detail::use_simd(config) &&
+          (!a.half() || detail::half_simd_ok(a.format())),
+      detail::gemm_sparse_avx2, detail::gemm_sparse_scalar);
 }
 
 // Shared k==0 / empty-matrix edge: C is the epilogue of a zero GEMM.
@@ -416,14 +423,8 @@ void gemm_packed_half(const PackedHalfA& a, const float* b, float* c,
                       std::size_t n, bool accumulate,
                       const GemmEpilogue& epilogue, const GemmConfig& config) {
   if (gemm_edge(c, a.rows(), a.cols(), n, accumulate, epilogue)) return;
-  if (use_simd(config) && half_simd_ok(a.format())) {
-    detail::record_dispatch_level(simd::Level::kAvx2);
-    detail::gemm_half_avx2(a, b, c, n, accumulate, epilogue, config.parallel);
-  } else {
-    detail::record_dispatch_level(simd::Level::kScalar);
-    detail::gemm_half_scalar(a, b, c, n, accumulate, epilogue,
-                             config.parallel);
-  }
+  half_kernel(a, config)(a, b, n, c, n, n, accumulate, epilogue,
+                         config.parallel);
 }
 
 void gemm_packed_sparse(const PackedSparseA& a, const float* b, float* c,
@@ -431,15 +432,33 @@ void gemm_packed_sparse(const PackedSparseA& a, const float* b, float* c,
                         const GemmEpilogue& epilogue,
                         const GemmConfig& config) {
   if (gemm_edge(c, a.rows(), a.cols(), n, accumulate, epilogue)) return;
-  if (use_simd(config) && (!a.half() || half_simd_ok(a.format()))) {
-    detail::record_dispatch_level(simd::Level::kAvx2);
-    detail::gemm_sparse_avx2(a, b, c, n, accumulate, epilogue,
-                             config.parallel);
-  } else {
-    detail::record_dispatch_level(simd::Level::kScalar);
-    detail::gemm_sparse_scalar(a, b, c, n, accumulate, epilogue,
-                               config.parallel);
-  }
+  sparse_kernel(a, config)(a, b, n, c, n, n, accumulate, epilogue,
+                           config.parallel);
+}
+
+// The compressed kernels' write-back knows only kStore: the residual
+// epilogue modes are a dense-panel feature (nn/fusion.hpp never folds
+// an add into a compressed-storage conv).
+
+void gemm_packed_im2col(const PackedHalfA& a, const Im2colPanelPacker& packer,
+                        float* c, std::size_t out_stride, float* scratch,
+                        const GemmEpilogue& epilogue,
+                        const GemmConfig& config) {
+  OCB_CHECK_MSG(epilogue.mode == EpiMode::kStore,
+                "half-stored panels support EpiMode::kStore only");
+  detail::im2col_stripes(a, half_kernel(a, config), packer, c, out_stride,
+                         scratch, epilogue, config.parallel);
+}
+
+void gemm_packed_im2col(const PackedSparseA& a,
+                        const Im2colPanelPacker& packer, float* c,
+                        std::size_t out_stride, float* scratch,
+                        const GemmEpilogue& epilogue,
+                        const GemmConfig& config) {
+  OCB_CHECK_MSG(epilogue.mode == EpiMode::kStore,
+                "sparse panels support EpiMode::kStore only");
+  detail::im2col_stripes(a, sparse_kernel(a, config), packer, c, out_stride,
+                         scratch, epilogue, config.parallel);
 }
 
 }  // namespace ocb

@@ -188,4 +188,17 @@ void gemm_packed_sparse(const PackedSparseA& a, const float* b, float* c,
                         const GemmEpilogue& epilogue = {},
                         const GemmConfig& config = {});
 
+/// The im2col-free conv GEMM (gemm.hpp) over half-stored or sparse
+/// weight panels: the same batch-spanning stripes, with each stripe
+/// multiplied by the compressed kernel. EpiMode::kStore only.
+void gemm_packed_im2col(const PackedHalfA& a, const Im2colPanelPacker& packer,
+                        float* c, std::size_t out_stride, float* scratch,
+                        const GemmEpilogue& epilogue = {},
+                        const GemmConfig& config = {});
+void gemm_packed_im2col(const PackedSparseA& a,
+                        const Im2colPanelPacker& packer, float* c,
+                        std::size_t out_stride, float* scratch,
+                        const GemmEpilogue& epilogue = {},
+                        const GemmConfig& config = {});
+
 }  // namespace ocb

@@ -79,9 +79,10 @@ inline __m256 widen_group(const std::uint16_t* p, HalfFormat format) noexcept {
 /// dense kernel_tile (gemm_avx2.cpp).
 template <int NV>
 inline void half_tile(const std::uint16_t* ap, HalfFormat format,
-                      const float* b, float* c, std::size_t ld, std::size_t k,
-                      std::size_t mr, bool accumulate,
-                      const float* bias_panel, EpiAct act) noexcept {
+                      const float* b, std::size_t ldb, float* c,
+                      std::size_t ldc, std::size_t k, std::size_t mr,
+                      bool accumulate, const float* bias_panel,
+                      EpiAct act) noexcept {
   __m256 acc[MR][NV];
   for (std::size_t r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
@@ -97,11 +98,11 @@ inline void half_tile(const std::uint16_t* ap, HalfFormat format,
       for (int v = 0; v < NV; ++v)
         acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
     }
-    bp += ld;
+    bp += ldb;
   }
 
   for (std::size_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ld;
+    float* crow = c + r * ldc;
     const __m256 bias = bias_panel != nullptr
                             ? _mm256_broadcast_ss(bias_panel + r)
                             : _mm256_setzero_ps();
@@ -119,18 +120,18 @@ inline void half_tile(const std::uint16_t* ap, HalfFormat format,
 
 /// Write back one row-parallel accumulator column: lane r of `acc` is
 /// C[i0+r][j]. Scalar epilogue per live row.
-inline void store_row_lanes(__m256 acc, float* c, std::size_t ld,
+inline void store_row_lanes(__m256 acc, float* c, std::size_t ldc,
                             std::size_t j, std::size_t mr, bool accumulate,
                             const float* bias_panel, EpiAct act) noexcept {
   alignas(32) float lanes[8];
   _mm256_store_ps(lanes, acc);
   for (std::size_t r = 0; r < mr; ++r) {
     if (accumulate) {
-      c[r * ld + j] += lanes[r];
+      c[r * ldc + j] += lanes[r];
     } else {
       float v = lanes[r];
       if (bias_panel != nullptr) v += bias_panel[r];
-      c[r * ld + j] = apply_epi_act(act, v);
+      c[r * ldc + j] = apply_epi_act(act, v);
     }
   }
 }
@@ -143,19 +144,19 @@ inline void store_row_lanes(__m256 acc, float* c, std::size_t ld,
 /// per element there, so this path is both narrower in bytes and ~6×
 /// wider in arithmetic.
 void half_tail(const std::uint16_t* ap, HalfFormat format, const float* b,
-               float* c, std::size_t ld, std::size_t k, std::size_t cols,
-               std::size_t mr, bool accumulate, const float* bias_panel,
-               EpiAct act) noexcept {
+               std::size_t ldb, float* c, std::size_t ldc, std::size_t k,
+               std::size_t cols, std::size_t mr, bool accumulate,
+               const float* bias_panel, EpiAct act) noexcept {
   __m256 acc[7];
   for (std::size_t j = 0; j < cols; ++j) acc[j] = _mm256_setzero_ps();
   for (std::size_t kk = 0; kk < k; ++kk) {
     const __m256 av = widen_group(ap + kk * MR, format);
-    const float* brow = b + kk * ld;
+    const float* brow = b + kk * ldb;
     for (std::size_t j = 0; j < cols; ++j)
       acc[j] = _mm256_fmadd_ps(av, _mm256_broadcast_ss(brow + j), acc[j]);
   }
   for (std::size_t j = 0; j < cols; ++j)
-    store_row_lanes(acc[j], c, ld, j, mr, accumulate, bias_panel, act);
+    store_row_lanes(acc[j], c, ldc, j, mr, accumulate, bias_panel, act);
 }
 
 /// Sparse register tile: identical to the dense tile except the k-loop
@@ -164,16 +165,17 @@ void half_tail(const std::uint16_t* ap, HalfFormat format, const float* b,
 template <int NV>
 inline void sparse_tile(const float* vals, const std::uint16_t* vals16,
                         HalfFormat format, const std::uint32_t* idx,
-                        std::size_t nnz, const float* b, float* c,
-                        std::size_t ld, std::size_t mr, bool accumulate,
-                        const float* bias_panel, EpiAct act) noexcept {
+                        std::size_t nnz, const float* b, std::size_t ldb,
+                        float* c, std::size_t ldc, std::size_t mr,
+                        bool accumulate, const float* bias_panel,
+                        EpiAct act) noexcept {
   __m256 acc[MR][NV];
   for (std::size_t r = 0; r < MR; ++r)
     for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
 
   alignas(32) float wide[8];
   for (std::size_t t = 0; t < nnz; ++t) {
-    const float* bp = b + static_cast<std::size_t>(idx[t]) * ld;
+    const float* bp = b + static_cast<std::size_t>(idx[t]) * ldb;
     __m256 bv[NV];
     for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
     const float* apk;
@@ -191,7 +193,7 @@ inline void sparse_tile(const float* vals, const std::uint16_t* vals16,
   }
 
   for (std::size_t r = 0; r < mr; ++r) {
-    float* crow = c + r * ld;
+    float* crow = c + r * ldc;
     const __m256 bias = bias_panel != nullptr
                             ? _mm256_broadcast_ss(bias_panel + r)
                             : _mm256_setzero_ps();
@@ -212,28 +214,29 @@ inline void sparse_tile(const float* vals, const std::uint16_t* vals16,
 /// 8-lane loads at the last entry stay in bounds.
 void sparse_tail(const float* vals, const std::uint16_t* vals16,
                  HalfFormat format, const std::uint32_t* idx, std::size_t nnz,
-                 const float* b, float* c, std::size_t ld, std::size_t cols,
-                 std::size_t mr, bool accumulate, const float* bias_panel,
-                 EpiAct act) noexcept {
+                 const float* b, std::size_t ldb, float* c, std::size_t ldc,
+                 std::size_t cols, std::size_t mr, bool accumulate,
+                 const float* bias_panel, EpiAct act) noexcept {
   __m256 acc[7];
   for (std::size_t j = 0; j < cols; ++j) acc[j] = _mm256_setzero_ps();
   for (std::size_t t = 0; t < nnz; ++t) {
     const __m256 av = vals16 != nullptr
                           ? widen_group(vals16 + t * MR, format)
                           : _mm256_loadu_ps(vals + t * MR);
-    const float* brow = b + static_cast<std::size_t>(idx[t]) * ld;
+    const float* brow = b + static_cast<std::size_t>(idx[t]) * ldb;
     for (std::size_t j = 0; j < cols; ++j)
       acc[j] = _mm256_fmadd_ps(av, _mm256_broadcast_ss(brow + j), acc[j]);
   }
   for (std::size_t j = 0; j < cols; ++j)
-    store_row_lanes(acc[j], c, ld, j, mr, accumulate, bias_panel, act);
+    store_row_lanes(acc[j], c, ldc, j, mr, accumulate, bias_panel, act);
 }
 
 }  // namespace
 
-void gemm_half_avx2(const PackedHalfA& a, const float* b, float* c,
-                    std::size_t n, bool accumulate,
-                    const GemmEpilogue& epilogue, bool parallel) {
+void gemm_half_avx2(const PackedHalfA& a, const float* b, std::size_t ldb,
+                    float* c, std::size_t ldc, std::size_t n,
+                    bool accumulate, const GemmEpilogue& epilogue,
+                    bool parallel) {
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t panels = a.panel_count();
@@ -248,16 +251,16 @@ void gemm_half_avx2(const PackedHalfA& a, const float* b, float* c,
       const std::size_t mr = std::min(MR, m - i0);
       const float* bias_panel =
           epilogue.bias != nullptr ? epilogue.bias + i0 : nullptr;
-      float* cpanel = c + i0 * n;
+      float* cpanel = c + i0 * ldc;
       std::size_t j = jc;
       for (; j + 16 <= jc_end; j += 16)
-        half_tile<2>(ap, format, b + j, cpanel + j, n, k, mr, accumulate,
-                     bias_panel, act);
+        half_tile<2>(ap, format, b + j, ldb, cpanel + j, ldc, k, mr,
+                     accumulate, bias_panel, act);
       for (; j + 8 <= jc_end; j += 8)
-        half_tile<1>(ap, format, b + j, cpanel + j, n, k, mr, accumulate,
-                     bias_panel, act);
+        half_tile<1>(ap, format, b + j, ldb, cpanel + j, ldc, k, mr,
+                     accumulate, bias_panel, act);
       if (j < jc_end)
-        half_tail(ap, format, b + j, cpanel + j, n, k, jc_end - j, mr,
+        half_tail(ap, format, b + j, ldb, cpanel + j, ldc, k, jc_end - j, mr,
                   accumulate, bias_panel, act);
     };
     if (parallel && panels > 1) {
@@ -268,7 +271,8 @@ void gemm_half_avx2(const PackedHalfA& a, const float* b, float* c,
   }
 }
 
-void gemm_sparse_avx2(const PackedSparseA& a, const float* b, float* c,
+void gemm_sparse_avx2(const PackedSparseA& a, const float* b,
+                      std::size_t ldb, float* c, std::size_t ldc,
                       std::size_t n, bool accumulate,
                       const GemmEpilogue& epilogue, bool parallel) {
   const std::size_t m = a.rows();
@@ -288,17 +292,17 @@ void gemm_sparse_avx2(const PackedSparseA& a, const float* b, float* c,
       const std::uint16_t* vals16 = half ? a.panel_values_half(p) : nullptr;
       const float* bias_panel =
           epilogue.bias != nullptr ? epilogue.bias + i0 : nullptr;
-      float* cpanel = c + i0 * n;
+      float* cpanel = c + i0 * ldc;
       std::size_t j = jc;
       for (; j + 16 <= jc_end; j += 16)
-        sparse_tile<2>(vals, vals16, format, idx, nnz, b + j, cpanel + j, n,
-                       mr, accumulate, bias_panel, act);
+        sparse_tile<2>(vals, vals16, format, idx, nnz, b + j, ldb, cpanel + j,
+                       ldc, mr, accumulate, bias_panel, act);
       for (; j + 8 <= jc_end; j += 8)
-        sparse_tile<1>(vals, vals16, format, idx, nnz, b + j, cpanel + j, n,
-                       mr, accumulate, bias_panel, act);
+        sparse_tile<1>(vals, vals16, format, idx, nnz, b + j, ldb, cpanel + j,
+                       ldc, mr, accumulate, bias_panel, act);
       if (j < jc_end)
-        sparse_tail(vals, vals16, format, idx, nnz, b + j, cpanel + j, n,
-                    jc_end - j, mr, accumulate, bias_panel, act);
+        sparse_tail(vals, vals16, format, idx, nnz, b + j, ldb, cpanel + j,
+                    ldc, jc_end - j, mr, accumulate, bias_panel, act);
     };
     if (parallel && panels > 1) {
       parallel_for(0, panels, panel_job, /*grain=*/1);
@@ -314,18 +318,20 @@ void gemm_sparse_avx2(const PackedSparseA& a, const float* b, float* c,
 
 namespace ocb::detail {
 
-void gemm_half_avx2(const PackedHalfA& a, const float* b, float* c,
-                    std::size_t n, bool accumulate,
-                    const GemmEpilogue& epilogue, bool parallel) {
+void gemm_half_avx2(const PackedHalfA& a, const float* b, std::size_t ldb,
+                    float* c, std::size_t ldc, std::size_t n,
+                    bool accumulate, const GemmEpilogue& epilogue,
+                    bool parallel) {
   // The dispatcher never routes here when AVX2 isn't compiled in; keep
   // a correct fallback anyway rather than a trap.
-  gemm_half_scalar(a, b, c, n, accumulate, epilogue, parallel);
+  gemm_half_scalar(a, b, ldb, c, ldc, n, accumulate, epilogue, parallel);
 }
 
-void gemm_sparse_avx2(const PackedSparseA& a, const float* b, float* c,
+void gemm_sparse_avx2(const PackedSparseA& a, const float* b,
+                      std::size_t ldb, float* c, std::size_t ldc,
                       std::size_t n, bool accumulate,
                       const GemmEpilogue& epilogue, bool parallel) {
-  gemm_sparse_scalar(a, b, c, n, accumulate, epilogue, parallel);
+  gemm_sparse_scalar(a, b, ldb, c, ldc, n, accumulate, epilogue, parallel);
 }
 
 }  // namespace ocb::detail

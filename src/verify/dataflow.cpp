@@ -56,8 +56,7 @@ std::pair<std::size_t, std::size_t> panel_dims(const nn::Graph& graph,
 }
 
 bool quant_algo(nn::ConvAlgo algo) noexcept {
-  return algo == nn::ConvAlgo::kIm2colQuant ||
-         algo == nn::ConvAlgo::kIm2colQuantFused;
+  return algo == nn::ConvAlgo::kIm2colQuantFused;
 }
 
 /// Does consumer `t` read its inputs through the INT8 path? Mirrors
@@ -132,14 +131,13 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
     // Algorithm/geometry legality. A deconv runs as its lowered 2×2
     // stride-1 conv in fp32: no Winograd transform (3×3 only), no
     // direct path (1×1 only) and no quantized kernel computes it —
-    // only the im2col GEMMs, materialized or fused.
+    // only the fp32 im2col stripes.
     if (nd.kind == nn::OpKind::kDeconv &&
-        p.algo != nn::ConvAlgo::kIm2colGemm &&
         p.algo != nn::ConvAlgo::kIm2colFused) {
       add_finding(report, CheckId::kShapeLegality, i,
                   std::string(nn::conv_algo_name(p.algo)) +
                       " planned for a deconv — its sub-pixel lowering "
-                      "runs on the fp32 im2col GEMMs only");
+                      "runs on the fp32 im2col stripes only");
     }
     if (nd.kind == nn::OpKind::kConv) {
       if (quant_algo(p.algo) && !int8) {
@@ -182,14 +180,14 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
                     "compressed storage under kInt8 — the quantized "
                     "kernels read dense panels");
       } else if (nd.kind != nn::OpKind::kLinear &&
-                 p.algo != nn::ConvAlgo::kIm2colGemm &&
+                 p.algo != nn::ConvAlgo::kIm2colFused &&
                  p.algo != nn::ConvAlgo::kDirectGemm) {
         add_finding(report, CheckId::kStorageTyping, i,
                     std::string("storage ") +
                         nn::weight_storage_name(p.storage) +
                         " on algo " + nn::conv_algo_name(p.algo) +
-                        " — only the im2col/direct GEMMs read "
-                        "compressed panels");
+                        " — only the im2col stripes and the direct GEMM "
+                        "read compressed panels");
       }
     }
     if (!snap.panels.empty() && has_panels) {
@@ -399,7 +397,7 @@ void check_coverage(const PlanSnapshot& snap, Report& report) {
   // --- Summary-counter agreement ------------------------------------
   // Recounted from the per-node plans with the same definitions the
   // plan advertises; drift means a stale or half-rebuilt summary.
-  int conv = 0, wino = 0, direct = 0, im2col = 0, quant = 0, fused = 0;
+  int conv = 0, wino = 0, direct = 0, quant = 0, fused = 0;
   int sparse = 0, fp16 = 0, residual = 0, concat_elided = 0;
   std::size_t naive_floats = 0;
   for (int i = 0; i < n; ++i) {
@@ -426,8 +424,6 @@ void check_coverage(const PlanSnapshot& snap, Report& report) {
     switch (p.algo) {
       case nn::ConvAlgo::kWinograd: ++wino; break;
       case nn::ConvAlgo::kDirectGemm: ++direct; break;
-      case nn::ConvAlgo::kIm2colQuant: ++quant; break;
-      case nn::ConvAlgo::kIm2colGemm: ++im2col; break;
       case nn::ConvAlgo::kIm2colFused: ++fused; break;
       case nn::ConvAlgo::kIm2colQuantFused:
         ++quant;
@@ -446,7 +442,6 @@ void check_coverage(const PlanSnapshot& snap, Report& report) {
   expect(snap.plan.conv_nodes, conv, "conv_nodes");
   expect(snap.plan.winograd_nodes, wino, "winograd_nodes");
   expect(snap.plan.direct_nodes, direct, "direct_nodes");
-  expect(snap.plan.im2col_nodes, im2col, "im2col_nodes");
   expect(snap.plan.quant_nodes, quant, "quant_nodes");
   expect(snap.plan.fused_nodes, fused, "fused_nodes");
   expect(snap.plan.sparse_nodes, sparse, "sparse_nodes");

@@ -21,18 +21,13 @@ namespace ocb::verify::detail {
 
 namespace {
 
-/// Does the *effective* plan for this conv run a kernel with EpiMode
-/// support? upgrade_fused promises the engine re-plans a materialized
-/// im2col node as kIm2colFused; engine snapshots arrive with the
-/// rewrite already applied, raw plan_fusion output without.
-bool epilogue_capable(const nn::ConvPlan& plan, bool upgrade_fused) noexcept {
-  nn::ConvAlgo algo = plan.algo;
-  if (upgrade_fused && algo == nn::ConvAlgo::kIm2colGemm)
-    algo = nn::ConvAlgo::kIm2colFused;
+/// Does the planned kernel for this conv support EpiMode? Only the
+/// dense-panel direct, Winograd and im2col-stripe write-backs do.
+bool epilogue_capable(const nn::ConvPlan& plan) noexcept {
   if (plan.storage != nn::WeightStorage::kDense) return false;
-  return algo == nn::ConvAlgo::kDirectGemm ||
-         algo == nn::ConvAlgo::kWinograd ||
-         algo == nn::ConvAlgo::kIm2colFused;
+  return plan.algo == nn::ConvAlgo::kDirectGemm ||
+         plan.algo == nn::ConvAlgo::kWinograd ||
+         plan.algo == nn::ConvAlgo::kIm2colFused;
 }
 
 }  // namespace
@@ -176,7 +171,7 @@ void check_fusion(const PlanSnapshot& snap, Report& report) {
       add_finding(report, CheckId::kFusionCapability, c,
                   "residual fold under kInt8 — the quantized kernels "
                   "run kStore only");
-    } else if (!epilogue_capable(snap.plan.nodes[cu], cf.upgrade_fused)) {
+    } else if (!epilogue_capable(snap.plan.nodes[cu])) {
       add_finding(report, CheckId::kFusionCapability, c,
                   "planned algo/storage ("
                   + std::string(nn::conv_algo_name(snap.plan.nodes[cu].algo))

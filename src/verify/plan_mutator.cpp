@@ -29,9 +29,7 @@ void recount_algo(nn::ExecutionPlan& plan, nn::ConvAlgo from,
     switch (a) {
       case nn::ConvAlgo::kWinograd: return &plan.winograd_nodes;
       case nn::ConvAlgo::kDirectGemm: return &plan.direct_nodes;
-      case nn::ConvAlgo::kIm2colGemm: return &plan.im2col_nodes;
       case nn::ConvAlgo::kIm2colFused: return &plan.fused_nodes;
-      case nn::ConvAlgo::kIm2colQuant: return &plan.quant_nodes;
       case nn::ConvAlgo::kIm2colQuantFused: return nullptr;  // two buckets
     }
     return nullptr;
@@ -241,7 +239,6 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
       const int c = pick_node(rng, folds);
       nn::ConvPlan& p = snap.plan.nodes[static_cast<std::size_t>(c)];
       p.storage = nn::WeightStorage::kSparse;
-      snap.fusion.nodes[static_cast<std::size_t>(c)].upgrade_fused = false;
       ++snap.plan.sparse_nodes;  // stay counter-consistent
       return true;
     }
@@ -308,11 +305,11 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
         const std::size_t ui = static_cast<std::size_t>(i);
         const nn::OpKind kind = snap.graph.node(i).kind;
         // Any node whose kernel legally reads sparse panels: linears
-        // always, convs on the im2col/direct GEMMs.
+        // always, convs on the im2col stripes or the direct GEMM.
         const bool sparse_capable =
             kind == nn::OpKind::kLinear ||
             (kind == nn::OpKind::kConv &&
-             (snap.plan.nodes[ui].algo == nn::ConvAlgo::kIm2colGemm ||
+             (snap.plan.nodes[ui].algo == nn::ConvAlgo::kIm2colFused ||
               snap.plan.nodes[ui].algo == nn::ConvAlgo::kDirectGemm));
         if (!sparse_capable) continue;
         if (snap.fusion.nodes[ui].residual_add) continue;

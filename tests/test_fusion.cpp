@@ -63,13 +63,10 @@ Graph chain_graph(int depth) {
 }
 
 /// Dense residual-capable plans (one per node) for plan_fusion unit
-/// tests that bypass the engine.
+/// tests that bypass the engine: the default ConvPlan, dense im2col
+/// stripes, whose epilogue carries a residual add.
 std::vector<ConvPlan> fused_plans(const Graph& g) {
-  std::vector<ConvPlan> plans(static_cast<std::size_t>(g.node_count()));
-  for (int i = 0; i < g.node_count(); ++i)
-    if (g.node(i).kind == OpKind::kConv)
-      plans[static_cast<std::size_t>(i)].algo = ConvAlgo::kIm2colFused;
-  return plans;
+  return std::vector<ConvPlan>(static_cast<std::size_t>(g.node_count()));
 }
 
 FusionConfig all_on() { return FusionConfig{true, true, true}; }
@@ -133,23 +130,17 @@ TEST(PlanFusion, ResidualActivationOrdering) {
   EXPECT_FALSE(mh.nodes[3].skip);
 }
 
-TEST(PlanFusion, ResidualUpgradesMaterializedButNotCompressed) {
+TEST(PlanFusion, ResidualFoldsIntoDenseStripesButNotCompressed) {
   const Graph g = residual_concat_graph();
-  // Dense materialized im2col lacks the epilogue, but the pass may
-  // request a re-plan to the fused kernel: the fold proceeds with
-  // upgrade_fused set on the conv.
-  std::vector<ConvPlan> plans(static_cast<std::size_t>(g.node_count()));
-  MemoryPlan mp = plan_fusion(g, plans, all_on(), 1);
-  EXPECT_EQ(mp.residual_fused, 1);
-  EXPECT_TRUE(mp.nodes[3].upgrade_fused);
-  // A plan already on an EpiMode-capable kernel folds without one.
-  mp = plan_fusion(g, fused_plans(g), all_on(), 1);
-  EXPECT_EQ(mp.residual_fused, 1);
-  EXPECT_FALSE(mp.nodes[3].upgrade_fused);
-  // Compressed storage blocks the fold outright — no upgrade exists.
-  plans = fused_plans(g);
-  plans[3].storage = WeightStorage::kHalf;
-  EXPECT_EQ(plan_fusion(g, plans, all_on(), 1).residual_fused, 0);
+  // Dense stripes carry the residual epilogue.
+  EXPECT_EQ(plan_fusion(g, fused_plans(g), all_on(), 1).residual_fused, 1);
+  // Compressed storage blocks the fold outright: those kernels run
+  // kStore only.
+  for (WeightStorage st : {WeightStorage::kHalf, WeightStorage::kSparse}) {
+    std::vector<ConvPlan> plans = fused_plans(g);
+    plans[3].storage = st;
+    EXPECT_EQ(plan_fusion(g, plans, all_on(), 1).residual_fused, 0);
+  }
 }
 
 TEST(PlanFusion, ConcatPlacesSingleConsumerProducers) {

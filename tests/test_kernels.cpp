@@ -296,8 +296,8 @@ TEST(PackedConv, MatchesPointerWeightConv) {
   nn::conv2d(input.data(), geom, out_c, weight.data(), bias.data(),
              nn::Act::kSilu, out_ptr.data(), s1);
   PackedA packed(weight.data(), out_c, geom.col_rows());
-  nn::conv2d(input.data(), geom, packed, bias.data(), nn::Act::kSilu,
-             out_packed.data(), s2);
+  nn::conv2d_fused(input.data(), 5 * 12 * 12, 1, geom, packed, bias.data(),
+                   nn::Act::kSilu, out_packed.data(), out_packed.size(), s2);
   for (std::size_t i = 0; i < out_ptr.size(); ++i)
     ASSERT_NEAR(out_ptr[i], out_packed[i], 1e-5f);
 }

@@ -237,11 +237,13 @@ void check_tail_case(std::size_t m, std::size_t k, std::size_t n,
   } else {
     ASSERT_FALSE(e.accumulate) << "the stripe path never accumulates";
     if (simd::active() == simd::Level::kAvx2) {
-      detail::gemm_packed_stripe_avx2(packed, b.data(), ldb, c.data(), ldc, n,
-                                      epilogue, /*parallel=*/true);
+      detail::gemm_packed_avx2(packed, b.data(), ldb, c.data(), ldc, n,
+                               /*accumulate=*/false, epilogue,
+                               /*parallel=*/true);
     } else {
-      detail::gemm_packed_stripe_scalar(packed, b.data(), ldb, c.data(), ldc,
-                                        n, epilogue, /*parallel=*/true);
+      detail::gemm_packed_scalar(packed, b.data(), ldb, c.data(), ldc, n,
+                                 /*accumulate=*/false, epilogue,
+                                 /*parallel=*/true);
     }
   }
 
@@ -657,9 +659,9 @@ void check_fused_conv_case(const FusedConvCase& c, Rng& rng) {
   // Residual operand (initial C) for the accumulating epilogue modes.
   const auto c0 = random_matrix(nb, out_n, rng);
 
-  // Oracle: the materialized per-image conv. For the residual modes,
-  // raw conv (no activation) combined elementwise per the EpiMode
-  // definition in tensor/gemm.hpp.
+  // Oracle: the pointer-weight per-image conv (materialized im2col +
+  // GEMM). For the residual modes, raw conv (no activation) combined
+  // elementwise per the EpiMode definition in tensor/gemm.hpp.
   nn::ConvScratch ref_scratch;
   std::vector<float> want(nb * out_n);
   std::vector<float> raw(out_n);
@@ -667,10 +669,11 @@ void check_fused_conv_case(const FusedConvCase& c, Rng& rng) {
     float* wb = want.data() + b * out_n;
     const float* ib = input.data() + b * in_n;
     if (c.mode == EpiMode::kStore) {
-      nn::conv2d(ib, geom, packed, bias.data(), c.act, wb, ref_scratch);
-    } else {
-      nn::conv2d(ib, geom, packed, bias.data(), nn::Act::kNone, raw.data(),
+      nn::conv2d(ib, geom, c.out_c, w.data(), bias.data(), c.act, wb,
                  ref_scratch);
+    } else {
+      nn::conv2d(ib, geom, c.out_c, w.data(), bias.data(), nn::Act::kNone,
+                 raw.data(), ref_scratch);
       const auto act1 = [&](float v) {
         nn::apply_activation(c.act, &v, 1);
         return v;
@@ -765,15 +768,223 @@ TEST(FusedConvProperty, WideOutputsCrossStripeBlocks) {
                         rng);
 }
 
-// --- fused quantized conv (nn/quantize.hpp qconv2d fused) ------------------
+// --- batch-spanning im2col stripes (gemm_packed_im2col) -------------------
 
-// The fused u8 stripe path reads the same quantized values as the
-// materialized quad buffer and runs the identical integer kernel +
-// requantize epilogue, so the two must agree bit-for-bit — in both the
-// float-out and u8-out (mid-graph requantize) configurations.
+// The stripe driver walks the columns of a whole batch, so a stripe
+// may cover the tail of one image and the head of the next (every
+// stripe does once the maps are smaller than a stripe). Each storage
+// format is checked against gemm_naive over a per-image im2col(), with
+// the exact weights the format computes with, under every EpiMode the
+// format supports. Outputs sit `out_stride` floats apart with a gap,
+// and the gaps and the floats after the last image hold canaries the
+// driver must never write.
 
-void check_fused_qconv_case(const ConvGeometry& geom, int out_c,
-                            EpiAct act, bool emit_u8, Rng& rng) {
+enum class StripeStorage { kDense, kHalf, kSparse, kSparseHalf };
+
+struct StripeCase {
+  int in_c, h, w, kernel, out_c, batch;
+  StripeStorage storage;
+  EpiMode mode;
+  EpiAct act;
+};
+
+void check_stripe_case(const StripeCase& c, GemmPath path, Rng& rng) {
+  const ConvGeometry geom{c.in_c, c.h, c.w, c.kernel, c.kernel, 1,
+                          c.kernel / 2};
+  const std::size_t k = geom.col_rows();
+  const std::size_t n_img = geom.col_cols();
+  const std::size_t m = static_cast<std::size_t>(c.out_c);
+  const std::size_t nb = static_cast<std::size_t>(c.batch);
+  SCOPED_TRACE(::testing::Message()
+               << "k=" << k << " (stripe " << fused_panel_cols(k)
+               << ") pixels=" << n_img << " m=" << m << " batch=" << nb
+               << " storage=" << static_cast<int>(c.storage)
+               << " mode=" << static_cast<int>(c.mode)
+               << " act=" << static_cast<int>(c.act)
+               << " path=" << static_cast<int>(path));
+
+  const std::size_t in_n = static_cast<std::size_t>(c.in_c) * c.h * c.w;
+  const std::size_t in_stride = in_n + 3;  // images need not be packed
+  const auto input = random_matrix(nb, in_stride, rng);
+  const auto w = random_matrix(m, k, rng);
+  std::vector<float> bias(m);
+  for (float& v : bias) v = static_cast<float>(rng.uniform(-0.5, 0.5));
+  const std::size_t out_n = m * n_img;
+  const std::size_t out_stride = out_n + 5;
+  const auto c0 = random_matrix(nb, out_n, rng);
+
+  // Pack, and recover the exact weights the format multiplies with.
+  PackedA dense;
+  PackedHalfA half;
+  PackedSparseA sparse;
+  std::vector<float> w_eff(m * k);
+  std::vector<std::uint8_t> mask(m * k);
+  for (auto& v : mask) v = rng.bernoulli(0.6) ? 1 : 0;
+  switch (c.storage) {
+    case StripeStorage::kDense:
+      dense.pack(w.data(), m, k);
+      w_eff = w;
+      break;
+    case StripeStorage::kHalf:
+      half.pack(w.data(), m, k, HalfFormat::kFp16);
+      half.unpack_dense(w_eff.data());
+      break;
+    case StripeStorage::kSparse:
+      sparse.pack(w.data(), m, k, mask.data());
+      sparse.unpack_masked_dense(w_eff.data());
+      break;
+    case StripeStorage::kSparseHalf:
+      sparse.pack(w.data(), m, k, mask.data(), HalfFormat::kBf16);
+      sparse.unpack_masked_dense(w_eff.data());
+      break;
+  }
+
+  std::vector<float> want(nb * out_n);
+  std::vector<float> col(k * n_img), acc(out_n);
+  for (std::size_t b = 0; b < nb; ++b) {
+    im2col(input.data() + b * in_stride, geom, col.data());
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    gemm_naive(w_eff.data(), col.data(), acc.data(), m, k, n_img);
+    for (std::size_t i = 0; i < m; ++i)
+      for (std::size_t j = 0; j < n_img; ++j) {
+        const float v = acc[i * n_img + j] + bias[i];
+        const float prior = c0[b * out_n + i * n_img + j];
+        float& o = want[b * out_n + i * n_img + j];
+        switch (c.mode) {
+          case EpiMode::kStore: o = reference_act(c.act, v); break;
+          case EpiMode::kAccThenAct: o = reference_act(c.act, prior + v); break;
+          case EpiMode::kActThenAcc: o = prior + reference_act(c.act, v); break;
+        }
+      }
+  }
+
+  std::vector<float> out(nb * out_stride + 8, kCanary);
+  if (c.mode != EpiMode::kStore)
+    for (std::size_t b = 0; b < nb; ++b)
+      std::copy_n(c0.data() + b * out_n, out_n, out.data() + b * out_stride);
+  std::vector<float> scratch(fused_conv_scratch_floats(geom, m, c.batch));
+  const Im2colPanelPacker packer(input.data(), geom, c.batch, in_stride);
+  const GemmEpilogue epi{bias.data(), c.act, c.mode};
+  GemmConfig config;
+  config.path = path;
+  switch (c.storage) {
+    case StripeStorage::kDense:
+      gemm_packed_im2col(dense, packer, out.data(), out_stride,
+                         scratch.data(), epi, config);
+      break;
+    case StripeStorage::kHalf:
+      gemm_packed_im2col(half, packer, out.data(), out_stride,
+                         scratch.data(), epi, config);
+      break;
+    case StripeStorage::kSparse:
+    case StripeStorage::kSparseHalf:
+      gemm_packed_im2col(sparse, packer, out.data(), out_stride,
+                         scratch.data(), epi, config);
+      break;
+  }
+
+  const float tol =
+      1e-4f * std::max<float>(1.0f, static_cast<float>(k) * 0.05f);
+  for (std::size_t b = 0; b < nb; ++b) {
+    for (std::size_t i = 0; i < out_n; ++i)
+      ASSERT_NEAR(out[b * out_stride + i], want[b * out_n + i], tol)
+          << "image " << b << " at " << i;
+    for (std::size_t t = out_n; t < out_stride; ++t)
+      ASSERT_EQ(out[b * out_stride + t], kCanary)
+          << "canary after image " << b << " at " << t;
+  }
+  for (std::size_t t = nb * out_stride; t < out.size(); ++t)
+    ASSERT_EQ(out[t], kCanary) << "canary past the last image at " << t;
+}
+
+/// Output sides whose pixel counts are 1, 4, 25, 100 and 1200.
+constexpr int kStripeSides[][2] = {{1, 1}, {2, 2}, {5, 5}, {10, 10},
+                                   {30, 40}};
+
+TEST(StripeProperty, BatchSpanningStripesMatchPerImageIm2col) {
+  Rng rng(20261019);
+  // K = 378 keeps the 1024-column stripe; K = 387 drops it to 1008, so
+  // the 1200-pixel maps split at a different column.
+  for (int in_c : {42, 43})
+    for (const auto& side : kStripeSides)
+      for (int batch : {1, 3, 4})
+        for (StripeStorage st :
+             {StripeStorage::kDense, StripeStorage::kHalf,
+              StripeStorage::kSparse, StripeStorage::kSparseHalf})
+          check_stripe_case({in_c, side[0], side[1], 3, 7, batch, st,
+                             EpiMode::kStore, EpiAct::kSilu},
+                            GemmPath::kSimd, rng);
+}
+
+TEST(StripeProperty, EveryEpilogueModeOnDensePanels) {
+  Rng rng(20261020);
+  constexpr EpiAct kActs[] = {EpiAct::kNone, EpiAct::kRelu,
+                              EpiAct::kLeakyRelu, EpiAct::kSilu,
+                              EpiAct::kSigmoid};
+  for (EpiMode mode :
+       {EpiMode::kStore, EpiMode::kAccThenAct, EpiMode::kActThenAcc})
+    for (EpiAct act : kActs)
+      for (const auto& side : kStripeSides)
+        for (int batch : {1, 3, 4})
+          for (GemmPath path : {GemmPath::kScalar, GemmPath::kSimd})
+            check_stripe_case({3, side[0], side[1], 3, 13, batch,
+                               StripeStorage::kDense, mode, act},
+                              path, rng);
+}
+
+TEST(StripeProperty, ScalarPathAndAlignedStripes) {
+  Rng rng(20261021);
+  for (const auto& side : kStripeSides)
+    for (int batch : {1, 4})
+      for (StripeStorage st :
+           {StripeStorage::kDense, StripeStorage::kHalf,
+            StripeStorage::kSparse})
+        check_stripe_case({43, side[0], side[1], 3, 5, batch, st,
+                           EpiMode::kStore, EpiAct::kRelu},
+                          GemmPath::kScalar, rng);
+  // K = 983 gives a 400-column stripe that divides the 1200-pixel map:
+  // a batch that never spans images, so no staging tile.
+  ASSERT_EQ(1200 % fused_panel_cols(983), 0u);
+  for (int batch : {1, 3})
+    check_stripe_case({983, 30, 40, 1, 6, batch, StripeStorage::kDense,
+                       EpiMode::kAccThenAct, EpiAct::kRelu},
+                      GemmPath::kSimd, rng);
+}
+
+// --- quantized conv (nn/quantize.hpp qconv2d) -----------------------------
+
+// The INT8 stripes against an integer conv computed without any of the
+// production lowering: a test-local u8 im2col (padding with the input
+// zero-point) feeds qgemm_naive_i32 over the exact int8 weights, and
+// the requantize epilogue is applied per its definition in qgemm.hpp.
+// Weights are integer multiples of a power-of-two row scale with a
+// ±127 entry per row, so quantize_layer reproduces them exactly.
+
+/// Row-major [col_rows × col_cols] u8 lowering of one CHW image.
+std::vector<std::uint8_t> lower_u8(const std::uint8_t* image,
+                                   const ConvGeometry& g, std::uint8_t pad) {
+  const int oh = g.out_h(), ow = g.out_w();
+  const std::size_t cols = g.col_cols();
+  std::vector<std::uint8_t> col(g.col_rows() * cols);
+  std::size_t row = 0;
+  for (int c = 0; c < g.in_c; ++c)
+    for (int ky = 0; ky < g.kernel_h; ++ky)
+      for (int kx = 0; kx < g.kernel_w; ++kx, ++row)
+        for (int y = 0; y < oh; ++y)
+          for (int x = 0; x < ow; ++x) {
+            const int sy = y * g.stride - g.pad + ky;
+            const int sx = x * g.stride - g.pad + kx;
+            const bool in = sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w;
+            col[row * cols + static_cast<std::size_t>(y) * ow + x] =
+                in ? image[(static_cast<std::size_t>(c) * g.in_h + sy) *
+                               g.in_w + sx]
+                   : pad;
+          }
+  return col;
+}
+
+void check_qconv_case(const ConvGeometry& geom, int out_c, EpiAct act,
+                      bool emit_u8, Rng& rng) {
   SCOPED_TRACE(::testing::Message()
                << "c=" << geom.in_c << " h=" << geom.in_h << " w="
                << geom.in_w << " k=" << geom.kernel_h << "x" << geom.kernel_w
@@ -782,56 +993,82 @@ void check_fused_qconv_case(const ConvGeometry& geom, int out_c,
                << " u8=" << emit_u8);
   const std::size_t in_n =
       static_cast<std::size_t>(geom.in_c) * geom.in_h * geom.in_w;
-  const std::size_t out_n =
-      static_cast<std::size_t>(out_c) * geom.out_h() * geom.out_w();
-  const std::size_t k = static_cast<std::size_t>(geom.col_rows());
+  const std::size_t m = static_cast<std::size_t>(out_c);
+  const std::size_t n = geom.col_cols();
+  const std::size_t k = geom.col_rows();
 
-  const auto x = random_matrix(1, in_n, rng);
-  const auto w = random_matrix(static_cast<std::size_t>(out_c), k, rng);
-  std::vector<float> bias(static_cast<std::size_t>(out_c));
+  std::vector<std::int8_t> wq(m * k);
+  std::vector<float> w(m * k);
+  for (std::size_t r = 0; r < m; ++r) {
+    const float scale = std::ldexp(1.0f, -static_cast<int>(r % 5) - 6);
+    for (std::size_t j = 0; j < k; ++j) {
+      const auto q = static_cast<std::int8_t>(
+          j == r % k ? (r % 2 == 0 ? 127 : -127) : rng.uniform_int(-127, 127));
+      wq[r * k + j] = q;
+      w[r * k + j] = static_cast<float>(q) * scale;
+    }
+  }
+  std::vector<float> bias(m);
   for (float& v : bias) v = static_cast<float>(rng.uniform(-0.5, 0.5));
 
+  const auto x = random_matrix(1, in_n, rng);
   nn::TensorRange xr;
   xr.observe(x.data(), x.size());
   const nn::TensorQuant xq = nn::quant_from_range(xr.mn, xr.mx);
   std::vector<std::uint8_t> xu(x.size());
   nn::quantize_to_u8(x.data(), x.size(), xq, xu.data());
   const nn::TensorQuant oq = nn::quant_from_range(-4.0f, 4.0f);
-  nn::QuantizedLayer layer = nn::quantize_layer(
-      w.data(), static_cast<std::size_t>(out_c), k, xq, oq, act);
+  nn::QuantizedLayer layer = nn::quantize_layer(w.data(), m, k, xq, oq, act);
   layer.emit_u8 = emit_u8;
 
-  nn::ConvScratch s_mat, s_fused;
+  const std::vector<std::uint8_t> col =
+      lower_u8(xu.data(), geom, static_cast<std::uint8_t>(xq.zero_point));
+  std::vector<std::int32_t> acc(m * n);
+  qgemm_naive_i32(wq.data(), col.data(), acc.data(), m, k, n);
+  std::vector<float> want(m * n);
+  for (std::size_t r = 0; r < m; ++r)
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::int32_t a = acc[r * n + j] - layer.row_offset[r];
+      want[r * n + j] = apply_epi_act(
+          act, static_cast<float>(a) * layer.row_scale[r] + bias[r]);
+    }
+
+  nn::ConvScratch scratch;
   if (emit_u8) {
-    std::vector<std::uint8_t> got_mat(out_n, 0xAA), got_fused(out_n, 0x55);
-    nn::qconv2d(xu.data(), geom, layer, bias.data(), nullptr, got_mat.data(),
-                s_mat, /*fused=*/false);
-    nn::qconv2d(xu.data(), geom, layer, bias.data(), nullptr,
-                got_fused.data(), s_fused, /*fused=*/true);
-    for (std::size_t i = 0; i < out_n; ++i)
-      ASSERT_EQ(got_fused[i], got_mat[i]) << "u8 at " << i;
+    std::vector<std::uint8_t> got(m * n, 0xAA);
+    nn::qconv2d(xu.data(), geom, layer, bias.data(), nullptr, got.data(),
+                scratch);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const long q = std::lrintf(want[i] / oq.scale) + oq.zero_point;
+      // A 1-ULP activation difference may flip a rounding tie.
+      ASSERT_LE(std::abs(static_cast<long>(got[i]) - std::clamp(q, 0l, 127l)),
+                1)
+          << "u8 at " << i;
+    }
   } else {
-    std::vector<float> got_mat(out_n, -1.0f), got_fused(out_n, -2.0f);
-    nn::qconv2d(xu.data(), geom, layer, bias.data(), got_mat.data(), nullptr,
-                s_mat, /*fused=*/false);
-    nn::qconv2d(xu.data(), geom, layer, bias.data(), got_fused.data(),
-                nullptr, s_fused, /*fused=*/true);
-    for (std::size_t i = 0; i < out_n; ++i)
-      ASSERT_EQ(got_fused[i], got_mat[i]) << "f32 at " << i;
+    std::vector<float> got(m * n, -1.0f);
+    nn::qconv2d(xu.data(), geom, layer, bias.data(), got.data(), nullptr,
+                scratch);
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_NEAR(got[i], want[i], 1e-5f * std::max(1.0f, std::abs(want[i])))
+          << "f32 at " << i;
   }
 }
 
-TEST(FusedQConvProperty, MatchesMaterializedQuadPathBitExact) {
+TEST(QConvProperty, StripesMatchNaiveIntegerConv) {
   Rng rng(20260808);
   for (bool emit_u8 : {false, true}) {
-    check_fused_qconv_case(ConvGeometry{7, 12, 12, 3, 3, 1, 1}, 13,
-                           EpiAct::kRelu, emit_u8, rng);
-    check_fused_qconv_case(ConvGeometry{3, 14, 14, 3, 3, 2, 1}, 5,
-                           EpiAct::kSilu, emit_u8, rng);
-    check_fused_qconv_case(ConvGeometry{5, 9, 9, 1, 5, 1, 2}, 7,
-                           EpiAct::kNone, emit_u8, rng);
-    check_fused_qconv_case(ConvGeometry{1, 6, 6, 5, 1, 2, 2}, 3,
-                           EpiAct::kLeakyRelu, emit_u8, rng);
+    check_qconv_case(ConvGeometry{7, 12, 12, 3, 3, 1, 1}, 13, EpiAct::kRelu,
+                     emit_u8, rng);
+    check_qconv_case(ConvGeometry{3, 14, 14, 3, 3, 2, 1}, 5, EpiAct::kSilu,
+                     emit_u8, rng);
+    check_qconv_case(ConvGeometry{5, 9, 9, 1, 5, 1, 2}, 7, EpiAct::kNone,
+                     emit_u8, rng);
+    check_qconv_case(ConvGeometry{1, 6, 6, 5, 1, 2, 2}, 3,
+                     EpiAct::kLeakyRelu, emit_u8, rng);
+    // Wide enough for several quad stripes.
+    check_qconv_case(ConvGeometry{2, 40, 40, 3, 3, 1, 1}, 4, EpiAct::kRelu,
+                     emit_u8, rng);
   }
 }
 

@@ -166,30 +166,19 @@ std::vector<DeconvVariant> deconv_variants() {
     return r;
   };
   std::vector<DeconvVariant> out;
+  out.push_back({"dense", base(), ConvAlgo::kIm2colFused,
+                 WeightStorage::kDense});
   PlanRequest r = base();
-  r.planner.enable_fused = false;
-  out.push_back({"dense/im2col", r, ConvAlgo::kIm2colGemm,
-                 WeightStorage::kDense});
-  // With free compute and a starved memory path, the batched scatter
-  // the materialized lowering pays (2·rows per column) outweighs the
-  // stripe packer's gather (k per column) on every shape below.
-  r = base();
-  r.planner.cost.gemm_gflops = 1e6;
-  r.planner.cost.gemm_overhead_us = 0.0;
-  r.planner.cost.mem_gbps = 0.05;
-  r.planner.cost.cache_gbps = 1e6;
-  out.push_back({"dense/fused", r, ConvAlgo::kIm2colFused,
-                 WeightStorage::kDense});
-  r = base();
   r.precision = Precision::kFp16;
   r.planner.cost.half_compute_scale = 4.0;
   r.planner.cost.weight_gbps = 0.0;
-  out.push_back({"fp16", r, ConvAlgo::kIm2colGemm, WeightStorage::kHalf});
+  out.push_back({"fp16", r, ConvAlgo::kIm2colFused, WeightStorage::kHalf});
   r = base();
   r.sparsity.scheme = SparsityScheme::kNm;
   r.sparsity.min_params = 0;
   r.planner.cost.sparse_compute_scale = 4.0;
-  out.push_back({"sparse", r, ConvAlgo::kIm2colGemm, WeightStorage::kSparse});
+  out.push_back({"sparse", r, ConvAlgo::kIm2colFused,
+                 WeightStorage::kSparse});
   return out;
 }
 

@@ -334,7 +334,7 @@ TEST(QGemm, QuantizedResultWithinDerivedErrorBoundOfFp32) {
 
 // --- u8 im2col ---------------------------------------------------------
 
-TEST(Im2colU8, QuadLayoutMatchesFloatIm2colQuantized) {
+TEST(Im2colU8, QuadPackerMatchesFloatIm2colQuantized) {
   Rng rng(223);
   const ConvGeometry geom{3, 9, 11, 3, 3, 2, 1};
   const std::size_t numel =
@@ -353,9 +353,11 @@ TEST(Im2colU8, QuadLayoutMatchesFloatIm2colQuantized) {
   std::vector<float> col(rows * cols);
   im2col(image.data(), geom, col.data());
 
+  // One window over every column is the whole quad layout.
   std::vector<std::uint8_t> quads(quad_buffer_bytes(rows, cols), 0xEE);
-  im2col_u8_quads(image_q.data(), geom,
-                  static_cast<std::uint8_t>(q.zero_point), quads.data());
+  const Im2colQuadPanelPacker packer(
+      image_q.data(), geom, static_cast<std::uint8_t>(q.zero_point));
+  packer.pack(0, cols, quads.data());
 
   constexpr std::size_t Q = PackedQuantA::kQuadK;
   for (std::size_t kk = 0; kk < rows; ++kk)

@@ -102,15 +102,14 @@ nn::Graph random_graph(Rng& rng) {
 }
 
 /// Mirror of the engine's plan assembly: per-conv plan_conv() under
-/// randomized candidate toggles, plan_fusion(), the upgrade_fused
-/// rewrite, and a counter recompute matching ExecutionPlan's
+/// randomized candidate toggles, plan_fusion(), and a counter
+/// recompute matching ExecutionPlan's
 /// definitions. Deliberately independent code — agreement between this,
 /// the engine, and the verifier is the property under test.
 PlanSnapshot planned_snapshot(const nn::Graph& g, Rng& rng) {
   nn::PlannerConfig cfg;
   cfg.enable_winograd = rng.bernoulli(0.8);
   cfg.enable_direct = rng.bernoulli(0.8);
-  cfg.enable_fused = rng.bernoulli(0.8);
   cfg.use_cache = rng.bernoulli(0.7);  // shared-cache traffic under TSan
   const int max_batch = static_cast<int>(rng.uniform_int(1, 3));
 
@@ -141,13 +140,6 @@ PlanSnapshot planned_snapshot(const nn::Graph& g, Rng& rng) {
   snap.fusion = plan_fusion(g, plans, fusion, max_batch);
   snap.max_batch = max_batch;
 
-  for (int i = 0; i < n; ++i) {
-    const nn::NodeFusion& f = snap.fusion.nodes[static_cast<std::size_t>(i)];
-    if (f.upgrade_fused &&
-        plans[static_cast<std::size_t>(i)].algo == nn::ConvAlgo::kIm2colGemm)
-      plans[static_cast<std::size_t>(i)].algo = nn::ConvAlgo::kIm2colFused;
-  }
-
   snap.plan.precision = nn::Precision::kFp32;
   snap.plan.max_batch = max_batch;
   snap.plan.nodes = plans;
@@ -157,9 +149,7 @@ PlanSnapshot planned_snapshot(const nn::Graph& g, Rng& rng) {
     switch (plans[static_cast<std::size_t>(i)].algo) {
       case nn::ConvAlgo::kWinograd: ++snap.plan.winograd_nodes; break;
       case nn::ConvAlgo::kDirectGemm: ++snap.plan.direct_nodes; break;
-      case nn::ConvAlgo::kIm2colGemm: ++snap.plan.im2col_nodes; break;
       case nn::ConvAlgo::kIm2colFused: ++snap.plan.fused_nodes; break;
-      case nn::ConvAlgo::kIm2colQuant: ++snap.plan.quant_nodes; break;
       case nn::ConvAlgo::kIm2colQuantFused:
         ++snap.plan.quant_nodes;
         ++snap.plan.fused_nodes;
