@@ -114,8 +114,8 @@ ModelFaultResult bench_model(models::ModelId id, double input_scale,
   input.init_uniform(rng, 0.0f, 1.0f);
 
   // --- (a) verify-cadence overhead: clean engine vs twin with the
-  // round-robin checksum tick enabled. Interleaved pair sampling (see
-  // bench_fusion.cpp) keeps the ratio drift-free on shared hosts.
+  // round-robin checksum tick enabled. Interleaved pair sampling keeps
+  // the ratio drift-free on shared hosts.
   nn::Engine clean(graph, 5);
   clean.prepare(nn::PlanRequest{});
   nn::Engine verified(graph, 5);
@@ -215,7 +215,7 @@ ModelFaultResult bench_model(models::ModelId id, double input_scale,
     integrity.verify_every = 1;
     const int handle = server.add_model(
         cfg, std::make_unique<runtime::EngineBatchRunner>(
-                 served, cfg.max_batch, nn::FusionConfig{}, integrity));
+                 served, cfg.max_batch, integrity));
 
     fault::FaultPlan plan;
     plan.seed = 7;

@@ -49,26 +49,6 @@ trained-detector accuracy moved more than --max-accuracy-delta-pt
 machine-relative; frontier ns/frame is additionally compared against
 the baseline unless --ratio-only.
 
-Also understands BENCH_fusion.json (top-level "bench": "fusion"), the
-fused execution stack (residual/concat fusion + liveness arena)
-against the same planned kernels without it. Fails
-when any model's fused engine diverges from the unfused baseline
-beyond 1e-5, when a warmed fused frame performed heap allocations
-(only enforced when the build counts them), when any model's fused
-engine is slower than its baseline beyond the tolerance, or when the
-gate model (the largest conv-heavy graph) drops below
---min-fusion-speedup, below --min-arena-reduction (default 0.30)
-peak-activation-arena shrink, or stops fusing anything at all. The
-speedup floor defaults to 0.95: a compute-bound single-core x86
-runner measures a 1.05-1.12x fused mean but draws +/-8% run-to-run
-noise under host contention, so the default floor is a
-mispick-regression catcher (the planner-bug class measures <=0.90),
-not a certification of the mean — the per-layer fused-packing win is
-gated robustly by the planner bench, and bandwidth-bound Jetson-class
-hosts should raise the floor to 1.25 (see EXPERIMENTS.md). Speedups and arena ratios are machine-relative; fused
-ns/frame is additionally compared against the baseline file unless
---ratio-only.
-
 Also understands BENCH_fault.json (top-level "bench": "fault"), the
 fault-injection resilience bench (DESIGN.md §14). Fails when the
 checksum layer's verify-cadence overhead exceeds
@@ -92,8 +72,6 @@ Usage:
       --baseline bench/baselines/BENCH_planner.json
   scripts/check_bench_regression.py BENCH_pareto.json \
       --baseline bench/baselines/BENCH_pareto.json
-  scripts/check_bench_regression.py BENCH_fusion.json \
-      --baseline bench/baselines/BENCH_fusion.json
   scripts/check_bench_regression.py BENCH_fault.json \
       --baseline bench/baselines/BENCH_fault.json
 """
@@ -320,81 +298,6 @@ def check_pareto(
     return failures
 
 
-MAX_FUSED_ABS_DIFF = 1e-5
-
-
-def check_fusion(
-    current: dict,
-    baseline: dict | None,
-    tolerance: float,
-    min_fusion_speedup: float,
-    min_arena_reduction: float,
-    ratio_only: bool,
-) -> list[str]:
-    """Gate the fused-execution bench: every model must stay equivalent
-    and allocation-free when warmed, and the gate model must hold the
-    fusion speedup and arena-reduction floors."""
-    failures: list[str] = []
-    models = current.get("models", [])
-    by_name = index_by(models, "name")
-    alloc_counting = current.get("alloc_counting", False)
-
-    for model in models:
-        name = model["name"]
-        if model["max_abs_diff"] > MAX_FUSED_ABS_DIFF:
-            failures.append(
-                f"{name}: fused engine diverges from unfused baseline "
-                f"(max |diff| {model['max_abs_diff']:.2e})"
-            )
-        if alloc_counting and model["warm_allocs"] != 0:
-            failures.append(
-                f"{name}: warmed fused frame performed "
-                f"{model['warm_allocs']} heap allocation(s)"
-            )
-        if model["speedup"] < 1.0 - tolerance:
-            failures.append(
-                f"{name}: fused engine slower than unfused baseline "
-                f"(speedup {model['speedup']:.2f})"
-            )
-
-    gate_name = current.get("gate_model")
-    gate = by_name.get(gate_name)
-    if gate is None:
-        failures.append(f"gate model {gate_name!r} missing from results")
-        return failures
-    if gate["speedup"] < min_fusion_speedup:
-        failures.append(
-            f"{gate_name}: gate fusion speedup {gate['speedup']:.3f} below "
-            f"required {min_fusion_speedup:.3f}"
-        )
-    if gate["arena_reduction"] < min_arena_reduction:
-        failures.append(
-            f"{gate_name}: arena reduction {gate['arena_reduction']:.2%} "
-            f"below required {min_arena_reduction:.0%}"
-        )
-    if gate["residual_fused"] < 1 or gate["concat_elided"] < 1:
-        failures.append(
-            f"{gate_name}: fusion pass found nothing to fuse "
-            f"(residual {gate['residual_fused']}, "
-            f"concat {gate['concat_elided']})"
-        )
-
-    if not ratio_only and baseline is not None:
-        base_models = index_by(baseline.get("models", []), "name")
-        for model in models:
-            base = base_models.get(model["name"])
-            if base is None:
-                continue
-            limit = base["fused_ns_frame"] * (1.0 + tolerance)
-            if model["fused_ns_frame"] > limit:
-                failures.append(
-                    f"{model['name']}: fused ns/frame "
-                    f"{model['fused_ns_frame']:.0f} exceeds baseline "
-                    f"{base['fused_ns_frame']:.0f} +{tolerance:.0%}"
-                )
-    return failures
-
-
 def check_fault(
     current: dict,
     max_verify_overhead_pct: float,
@@ -517,22 +420,6 @@ def main() -> int:
         "bandwidth-bound gate shape (pareto bench, SIMD active)",
     )
     parser.add_argument(
-        "--min-fusion-speedup",
-        type=float,
-        default=0.95,
-        help="minimum gate-model fused-vs-baseline frame speedup "
-        "(fusion bench; the default catches mispick-class regressions "
-        "under shared-runner noise — raise to 1.25 on bandwidth-bound "
-        "hosts)",
-    )
-    parser.add_argument(
-        "--min-arena-reduction",
-        type=float,
-        default=0.30,
-        help="minimum gate-model peak-activation-arena reduction "
-        "(fusion bench; 0.30 = 30%%)",
-    )
-    parser.add_argument(
         "--max-accuracy-delta-pt",
         type=float,
         default=1.5,
@@ -582,37 +469,6 @@ def main() -> int:
             f"{current.get('verify_overhead_pct', 0.0):.2f}%, recovery "
             "bit-exact, quarantine within "
             f"{worst_frames} frame(s), simd={current.get('simd')})"
-        )
-        return 0
-
-    if current.get("bench") == "fusion":
-        try:
-            baseline = load(args.baseline)
-        except OSError:
-            baseline = None
-        failures = check_fusion(
-            current,
-            baseline,
-            args.tolerance,
-            args.min_fusion_speedup,
-            args.min_arena_reduction,
-            args.ratio_only,
-        )
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        gate = index_by(current.get("models", []), "name").get(
-            current.get("gate_model"), {}
-        )
-        print(
-            "bench regression check passed (fusion: "
-            f"{len(current.get('models', []))} models, gate "
-            f"{current.get('gate_model')} speedup "
-            f"{gate.get('speedup', 0.0):.2f}x, arena "
-            f"-{gate.get('arena_reduction', 0.0):.0%}, "
-            f"simd={current.get('simd')})"
         )
         return 0
 

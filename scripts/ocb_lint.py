@@ -509,7 +509,6 @@ BASELINE_REQUIRED_KEYS = {
     "BENCH_planner.json": {"bench", "simd", "layers", "models"},
     "BENCH_precision_sweep.json": {"latency", "accuracy"},
     "BENCH_pareto.json": {"bench", "kernel_gates", "equivalence", "frontier"},
-    "BENCH_fusion.json": {"bench", "simd", "gate_model", "models"},
     "BENCH_fault.json": {"bench", "simd", "alloc_counting", "verify_cadence",
                          "verify_overhead_pct", "models", "devsim"},
 }

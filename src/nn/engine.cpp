@@ -120,7 +120,7 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   OCB_CHECK_MSG(n > 0, "cannot build an engine over an empty graph");
   weights_.resize(static_cast<std::size_t>(n));
   biases_.resize(static_cast<std::size_t>(n));
-  activations_.resize(static_cast<std::size_t>(n));
+  node_views_.resize(static_cast<std::size_t>(n));
   panels_.resize(static_cast<std::size_t>(n));
   plan_.nodes.assign(static_cast<std::size_t>(n), ConvPlan{});
   plan_scratch_.assign(static_cast<std::size_t>(n), ConvPlan{});
@@ -136,13 +136,8 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
     biases_[i] = Tensor({1, out_c, 1, 1});
   }
 
-  // Load-time plan: pre-size every activation (pointers stay stable for
-  // the precomputed concat argument lists below) and pack every GEMM
-  // node's weight panels.
+  // Load-time plan: pack every GEMM node's weight panels.
   for (int i = 0; i < n; ++i) {
-    const FeatShape out = graph_.shape(i);
-    activations_[static_cast<std::size_t>(i)] =
-        Tensor({1, out.c, out.h, out.w});
     if (!gemm_node(graph_, i)) continue;
     repack(i);
     integrity_nodes_.push_back(i);
@@ -150,18 +145,13 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   size_deconv_stage();
   resize_output_slots();
 
-  // Baseline fusion plan (everything off: one buffer per node) and the
-  // identity activation layout it induces.
-  fusion_ = plan_fusion(graph_, plan_.nodes, FusionConfig{}, 1);
-  plan_.arena_peak_bytes_before = fusion_.naive_floats * sizeof(float);
-  plan_.arena_peak_bytes_after = plan_.arena_peak_bytes_before;
-  rebuild_act_layout();
-
-  // Baseline plan: fp32, batch 1, dense im2col stripes everywhere. The
-  // cost-model planner only engages through prepare().
+  // Baseline plan: fp32, batch 1, dense im2col stripes everywhere, with
+  // its fusion and arena layout. The cost-model planner only engages
+  // through prepare().
   for (int i = 0; i < n; ++i)
     if (graph_.node(i).kind == OpKind::kConv) ++plan_.conv_nodes;
   plan_.fused_nodes = plan_.conv_nodes;
+  rebuild_act_layout();
   reserve_conv_scratch();
 }
 
@@ -186,19 +176,25 @@ void Engine::materialize_outputs(int image, std::vector<Tensor>& dst) const {
 }
 
 void Engine::rebuild_act_layout() {
+  fusion_ = plan_fusion(graph_, plan_.nodes, max_batch_);
+  plan_.residual_fused = fusion_.residual_fused;
+  plan_.concat_elided = fusion_.concat_elided;
+  plan_.arena_peak_bytes_before = fusion_.naive_floats * sizeof(float);
+  plan_.arena_peak_bytes_after = fusion_.arena_floats * sizeof(float);
+
   const std::size_t n = static_cast<std::size_t>(graph_.node_count());
   act_base_.resize(n);
   act_stride_.resize(n);
-  if (fusion_.planned) act_arena_.resize(fusion_.arena_floats);
+  act_arena_.resize(fusion_.arena_floats);
   for (std::size_t i = 0; i < n; ++i) {
     std::size_t off = 0;
     const int root = fusion_.root_of(static_cast<int>(i), &off);
     const std::size_t ri = static_cast<std::size_t>(root);
-    float* base = fusion_.planned ? act_arena_.data() + fusion_.offsets[ri]
-                                  : activations_[ri].data();
-    act_base_[i] = base + off;
+    act_base_[i] = act_arena_.data() + fusion_.offsets[ri] + off;
     act_stride_[i] = graph_.shape(root).numel();
   }
+  // The new layout may give any slot to another node.
+  has_run_ = false;
 }
 
 const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
@@ -276,11 +272,6 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
 
   const bool grow = request.max_batch > max_batch_;
   const bool precision_change = request.precision != precision_;
-  // Fusion is a float-path feature: the quantized engine keeps
-  // per-node u8 buffers, so kInt8 forces the all-off config.
-  FusionConfig fusion_cfg = request.fusion;
-  if (request.precision == Precision::kInt8) fusion_cfg = FusionConfig{};
-  const bool fusion_changed = !(fusion_cfg == fusion_cfg_);
   // A pruning-config change can leave every plan identical (e.g. a
   // granularity switch at the same budget) yet still change the masks;
   // a format change re-encodes the half panels. Both force the rebuild
@@ -288,7 +279,7 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   const bool sparsity_changed = !(request.sparsity == sparsity_);
   const bool format_changed = request.half_format != half_format_;
   if (!grow && !precision_change && !algos_changed && !new_calib &&
-      !sparsity_changed && !format_changed && !fusion_changed)
+      !sparsity_changed && !format_changed)
     return plan_;  // active plan already satisfies the request
 
   // Same-length element-wise copy — no reallocation.
@@ -298,13 +289,7 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
 
   // Graph fusion + activation placement over the settled plans, and
   // the per-node base/stride views that execute it.
-  fusion_ = plan_fusion(graph_, plan_.nodes, fusion_cfg, max_batch_);
-  fusion_cfg_ = fusion_cfg;
   rebuild_act_layout();
-  plan_.residual_fused = fusion_.residual_fused;
-  plan_.concat_elided = fusion_.concat_elided;
-  plan_.arena_peak_bytes_before = fusion_.naive_floats * sizeof(float);
-  plan_.arena_peak_bytes_after = fusion_.arena_floats * sizeof(float);
 
   // Invalidate compressed panels the new configuration re-derives, then
   // (lazily) build whatever the plan's storage choices need. Nodes the
@@ -424,15 +409,8 @@ Engine::ActLayoutView Engine::act_layout(int node) const {
   ActLayoutView v;
   v.base = act_base_[i];
   v.stride_floats = act_stride_[i];
-  if (fusion_.planned) {
-    v.backing = act_arena_.data();
-    v.backing_floats = act_arena_.size();
-  } else {
-    const int root = fusion_.root_of(node, nullptr);
-    const Tensor& t = activations_[static_cast<std::size_t>(root)];
-    v.backing = t.data();
-    v.backing_floats = t.numel();
-  }
+  v.backing = act_arena_.data();
+  v.backing_floats = act_arena_.size();
   return v;
 }
 
@@ -440,16 +418,8 @@ void Engine::grow_batch_plan(int max_batch) {
   OCB_CHECK_MSG(max_batch >= 1, "batch plan needs a positive batch");
   if (max_batch <= max_batch_) return;
   max_batch_ = max_batch;
-  const int n = graph_.node_count();
-  for (int i = 0; i < n; ++i) {
-    const FeatShape out = graph_.shape(i);
-    activations_[static_cast<std::size_t>(i)] =
-        Tensor({max_batch, out.c, out.h, out.w});
-  }
-  has_run_ = false;
-  // Re-sizing moved the activation storage; prepare() rebuilds the
-  // per-node base pointers right after this. run_batch needs one
-  // output snapshot row per image.
+  // prepare() re-plans the activation arena for the new batch right
+  // after this. run_batch needs one output snapshot row per image.
   resize_output_slots();
 
   size_deconv_stage();
@@ -657,24 +627,16 @@ std::uint32_t Engine::recorded_checksum(int node) const {
 QuantCalibration Engine::calibrate(const std::vector<Tensor>& frames) {
   OCB_CHECK_MSG(precision_ == Precision::kFp32,
                 "calibrate() requires FP32 precision");
-  OCB_CHECK_MSG(!fusion_cfg_.any(),
-                "calibrate() requires an unfused plan (fused/placed nodes "
-                "hide per-node float outputs); prepare() without a "
-                "FusionConfig first");
   OCB_CHECK_MSG(!frames.empty(), "calibration needs at least one frame");
-  const int n = graph_.node_count();
   QuantCalibration calib;
-  calib.ranges.resize(static_cast<std::size_t>(n));
-  for (const Tensor& frame : frames) {
-    run(frame);
-    for (int i = 0; i < n; ++i) {
-      // Only the front image is live after a batch-1 run(); observing
-      // the whole {max_batch, ...} buffer would fold in stale values.
-      const Tensor& out = activations_[static_cast<std::size_t>(i)];
-      calib.ranges[static_cast<std::size_t>(i)].observe(
-          out.data(), graph_.shape(i).numel());
-    }
-  }
+  calib.ranges.resize(static_cast<std::size_t>(graph_.node_count()));
+  // forward() observes every node while its arena slot is still live.
+  struct StopObserving {
+    QuantCalibration*& target;
+    ~StopObserving() { target = nullptr; }
+  } stop{observe_};
+  observe_ = &calib;
+  for (const Tensor& frame : frames) run(frame);
   calib.frames = static_cast<int>(frames.size());
   calib_ = calib;
   return calib;
@@ -712,10 +674,22 @@ void Engine::build_int8_plan() {
   };
   const auto& outs = graph_.outputs();
 
+  // Every range INT8 reads must have been observed. calibrate() leaves
+  // only residual-folded convs unobserved, and those neither emit u8
+  // nor feed a quantized layer (their one consumer is the Add).
+  auto require_range = [&](int node, const char* role) {
+    const Node& nd = graph_.node(node);
+    OCB_CHECK_MSG(calib_.ranges[static_cast<std::size_t>(node)].valid(),
+                  std::string("INT8 needs a calibrated range for ") + role +
+                      " node " + std::to_string(node) + " '" + nd.name +
+                      "' (" + op_name(nd.kind) + ")");
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     const Node& nd = graph_.node(static_cast<int>(i));
     if (!quantizable(static_cast<int>(i))) continue;
     const int src = nd.inputs[0];
+    require_range(src, "quantized-layer input");
     const FeatShape in0 = graph_.shape(src);
     const std::size_t k =
         nd.kind == OpKind::kConv
@@ -736,6 +710,7 @@ void Engine::build_int8_plan() {
     for (int c : consumers[i])
       if (!quantizable(c)) emit = false;
     qlayers_[i].emit_u8 = emit;
+    if (emit) require_range(static_cast<int>(i), "u8-emitting");
     // Quantize-on-demand target for this node's input.
     u8_acts_[static_cast<std::size_t>(src)].resize(in0.numel());
   }
@@ -1008,6 +983,10 @@ void Engine::forward(std::span<const Tensor> inputs) {
         });
         break;
     }
+    // calibrate(): record the range while the node's output is live. A
+    // residual-folded conv's output only exists summed into its Add.
+    if (observe_ != nullptr && !fusion_.nodes[ui].residual_add)
+      observe_->ranges[ui].observe(dst_base, out_chw);
   }
   has_run_ = true;
 }
@@ -1016,24 +995,20 @@ const Tensor& Engine::node_output(int node) const {
   OCB_CHECK(node >= 0 && node < graph_.node_count());
   OCB_CHECK_MSG(has_run_, "node_output before run()");
   const std::size_t i = static_cast<std::size_t>(node);
-  if (act_base_[i] != activations_[i].data()) {
-    // The fusion plan keeps this node's data inside another buffer (or
-    // the shared arena); materialise the per-node view on demand.
-    const std::size_t numel = graph_.shape(node).numel();
+  const FeatShape s = graph_.shape(node);
+  const std::size_t numel = s.numel();
+  Tensor& view = node_views_[i];
+  const Shape shape{max_batch_, s.c, s.h, s.w};
+  if (!(view.shape() == shape)) view = Tensor(shape);
+  if (!float_stale_.empty() && float_stale_[i] != 0) {
+    // The node kept its output in u8 (all consumers were INT8).
+    dequantize_u8(u8_acts_[i].data(), numel, node_quant_[i], view.data());
+  } else {
     for (int b = 0; b < max_batch_; ++b)
       std::copy_n(act_base_[i] + static_cast<std::size_t>(b) * act_stride_[i],
-                  numel,
-                  activations_[i].data() + static_cast<std::size_t>(b) * numel);
+                  numel, view.data() + static_cast<std::size_t>(b) * numel);
   }
-  if (!float_stale_.empty() && float_stale_[i] != 0) {
-    // The node kept its output in u8 (all consumers were INT8);
-    // materialise the float view on demand.
-    Tensor& dst = activations_[i];
-    dequantize_u8(u8_acts_[i].data(), graph_.shape(node).numel(),
-                  node_quant_[i], dst.data());
-    float_stale_[i] = 0;
-  }
-  return activations_[i];
+  return view;
 }
 
 Tensor& Engine::weight(int node) {

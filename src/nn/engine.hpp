@@ -19,14 +19,19 @@
 // run_batch() a batched one, except under INT8, where run_batch() loops
 // the pass once per image (the u8 buffers are sized for one image).
 //
+// Every plan, at every precision, executes graph fusion (nn/fusion.hpp):
+// residual Adds fold into their producer conv's epilogue, concat
+// producers write straight into the concat's buffer, and all float
+// activations live in one liveness-planned arena whose slots are reused
+// once their data is dead.
+//
 // Steady-state frame path: every conv/deconv/linear weight matrix is
 // repacked once at load time into PackedA tile panels (re-done lazily
-// if a test or trainer mutates weight()), activations are pre-allocated
-// from the graph's shape plan, concat argument lists are precomputed,
-// and conv scratch comes from an arena reserved at prepare time (a
-// deconv runs as its lowered conv, see nn/ops.hpp) — so run() and
-// a re-prepare() that changes nothing perform no heap allocation after
-// warm-up (see scratch_arena() for the test hook).
+// if a test or trainer mutates weight()), the activation arena is sized
+// at plan time, and conv scratch comes from an arena reserved at prepare
+// time (a deconv runs as its lowered conv, see nn/ops.hpp) — so run()
+// and a re-prepare() that changes nothing perform no heap allocation
+// after warm-up (see scratch_arena() for the test hook).
 #pragma once
 
 #include <cstdint>
@@ -84,10 +89,6 @@ struct PlanRequest {
   /// 16-bit encoding used when the planner picks half storage (kFp16
   /// precision).
   HalfFormat half_format = HalfFormat::kFp16;
-  /// Graph fusion + activation memory planning (see nn/fusion.hpp).
-  /// All-off by default. Ignored under kInt8 (the quantized path keeps
-  /// per-node u8 buffers). calibrate() requires an unfused plan.
-  FusionConfig fusion{};
   /// Checksum-verification cadence for the packed weight panels.
   /// Config-only: changing it never invalidates the plan or allocates.
   IntegrityConfig integrity{};
@@ -116,8 +117,8 @@ struct ExecutionPlan {
   /// conv epilogues and concat input copies eliminated by placement.
   int residual_fused = 0;
   int concat_elided = 0;
-  /// Activation memory: the one-buffer-per-node baseline vs the
-  /// liveness-planned arena. Equal unless FusionConfig::plan_memory.
+  /// Activation memory: what one buffer per node would take vs the
+  /// liveness-planned arena the engine allocates.
   std::size_t arena_peak_bytes_before = 0;
   std::size_t arena_peak_bytes_after = 0;
   /// PlanCache traffic attributable to the last prepare() (approximate
@@ -178,14 +179,15 @@ class Engine {
   std::span<const std::vector<Tensor>> run_batch(
       const std::vector<Tensor>& inputs);
 
-  /// Output tensor of a specific node from the most recent run().
-  /// Nodes the active fusion plan placed into another buffer are
-  /// copied back on demand; under FusionConfig::plan_memory only
-  /// graph outputs and nodes still live at the end of the pass hold
-  /// meaningful data (dead buffers may have been reused).
+  /// Output tensor of a specific node from the most recent run(),
+  /// copied out of the activation arena into a per-node tensor that is
+  /// allocated on the node's first request and keeps its address
+  /// (several may be held at once). Exact for graph outputs and for
+  /// u8-resident INT8 nodes; any other node returns its arena slot's
+  /// current contents, which a later node may have reused.
   const Tensor& node_output(int node) const;
 
-  /// The active fusion/memory plan (default when fusion is off).
+  /// The active fusion/memory plan.
   const MemoryPlan& fusion_plan() const noexcept { return fusion_; }
 
   /// Direct access to a conv/deconv/linear node's weights (tests &
@@ -203,11 +205,12 @@ class Engine {
   /// allocation-free: stats().grows must remain 0 across run() calls.
   const Arena& scratch_arena() const noexcept { return scratch_.arena; }
 
-  /// Run `frames` through the FP32 path, recording per-node output
-  /// min/max. The result is also retained internally, so a following
-  /// prepare() for kInt8 needs no explicit calibration argument.
-  /// Requires the active precision to be kFp32 and an unfused plan
-  /// (every node's float output must be observable).
+  /// Run `frames` through the FP32 path, recording each node's output
+  /// min/max right after the node runs. Residual-folded convs get no
+  /// range: their output only exists summed into the Add's buffer, and
+  /// INT8 never reads it. The result is also retained internally, so a
+  /// following prepare() for kInt8 needs no explicit calibration
+  /// argument. Requires the active precision to be kFp32.
   QuantCalibration calibrate(const std::vector<Tensor>& frames);
 
   /// The active plan's precision (folded into PlanRequest; this is a
@@ -265,9 +268,8 @@ class Engine {
   QuantState quant_state(int node) const;
 
   /// The applied activation layout for one node: image b of the node
-  /// lives at base + b·stride_floats, inside [backing, backing +
-  /// backing_floats) — the arena when the plan placed memory, the
-  /// node's root tensor otherwise.
+  /// lives at base + b·stride_floats, inside the activation arena
+  /// [backing, backing + backing_floats).
   struct ActLayoutView {
     const float* base = nullptr;
     std::size_t stride_floats = 0;
@@ -353,12 +355,12 @@ class Engine {
   /// Transform + pack node's 3×3 weights into 16 Winograd panels.
   void pack_winograd(int node);
   void build_int8_plan();
-  /// Grow activations/outputs/arena for micro-batches of `max_batch`
-  /// (grow-only).
+  /// Grow output slots and deconv staging for micro-batches of
+  /// `max_batch` (grow-only).
   void grow_batch_plan(int max_batch);
-  /// Recompute per-node activation base pointers and per-image strides
-  /// from the active fusion plan (identity mapping when fusion is
-  /// off). Must run after anything that moves activation storage.
+  /// Plan fusion over the active conv plans and max_batch_, size the
+  /// activation arena and recompute per-node base pointers and
+  /// per-image strides into it.
   void rebuild_act_layout();
   /// (Re)allocates the output snapshot slots: one batch_outputs_ row
   /// per planned batch image (row 0 is what run() returns). The only
@@ -372,14 +374,14 @@ class Engine {
   Graph graph_;  // engine owns an immutable copy of the structure
   std::vector<Tensor> weights_;
   std::vector<Tensor> biases_;
-  /// Mutable: node_output() lazily dequantizes u8-resident activations.
-  mutable std::vector<Tensor> activations_;
+  /// node_output()'s per-node copies, allocated on first request.
+  mutable std::vector<Tensor> node_views_;
   std::vector<NodeWeights> panels_;  ///< per-node packed weights + CRCs
   /// Pre-sized output snapshots returned by run() (row 0) and
   /// run_batch() (one row per image).
   std::vector<std::vector<Tensor>> batch_outputs_;
   ConvScratch scratch_;
-  bool has_run_ = false;  ///< activations hold real data (vs zero-fill)
+  bool has_run_ = false;  ///< the arena holds a pass's activations
   int max_batch_ = 1;     ///< activation batch capacity (see prepare)
   std::size_t conv_scratch_bytes_ = 0;  ///< largest arena block reserved
   /// A deconv's lowered conv result, staged for the interleave. Held
@@ -391,12 +393,14 @@ class Engine {
 
   /// Active fusion/memory plan and the per-node activation views it
   /// induces: node i's image b lives at act_base_[i] + b*act_stride_[i]
-  /// (into its own tensor, another node's buffer, or act_arena_).
+  /// inside act_arena_, the only activation storage.
   MemoryPlan fusion_;
-  FusionConfig fusion_cfg_{};
   std::vector<float*> act_base_;
   std::vector<std::size_t> act_stride_;
-  std::vector<float> act_arena_;  ///< planned-offset storage (plan_memory)
+  std::vector<float> act_arena_;
+  /// Non-null only inside calibrate(): forward() records each node's
+  /// output range here right after the node runs.
+  QuantCalibration* observe_ = nullptr;
 
   ExecutionPlan plan_;               ///< active plan (see prepare)
   std::vector<ConvPlan> plan_scratch_;  ///< pre-sized planning staging
@@ -419,7 +423,7 @@ class Engine {
   std::vector<TensorQuant> node_quant_;   ///< per-node activation quant
   std::vector<std::vector<std::uint8_t>> u8_acts_;  ///< persistent u8 bufs
   std::vector<char> u8_valid_;            ///< u8 buffer current this frame
-  mutable std::vector<char> float_stale_; ///< float view needs dequant
+  std::vector<char> float_stale_;         ///< output u8-resident this pass
 };
 
 }  // namespace ocb::nn

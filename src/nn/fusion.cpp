@@ -38,7 +38,7 @@ int MemoryPlan::root_of(int node, std::size_t* offset_floats) const noexcept {
 }
 
 MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
-                       const FusionConfig& config, int max_batch) {
+                       int max_batch) {
   const int n = graph.node_count();
   OCB_CHECK_MSG(plans.size() == static_cast<std::size_t>(n),
                 "plan_fusion needs one ConvPlan entry per graph node");
@@ -61,88 +61,84 @@ MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
   // channel offset. Processing in node order lets placements chain:
   // an inner concat placed here resolves its own placed children
   // through root_of.
-  if (config.fuse_concat) {
-    for (int k = 0; k < n; ++k) {
-      const Node& nd = graph.node(k);
-      if (nd.kind != OpKind::kConcat) continue;
-      const std::size_t hw = static_cast<std::size_t>(graph.shape(k).h) *
-                             graph.shape(k).w;
-      std::size_t coff = 0;
-      for (std::size_t a = 0; a < nd.inputs.size(); ++a) {
-        const int s = nd.inputs[a];
-        const std::size_t su = static_cast<std::size_t>(s);
-        const std::size_t off = coff;
-        coff += static_cast<std::size_t>(graph.shape(s).c) * hw;
-        if (graph.node(s).kind == OpKind::kInput) continue;
-        if (is_output(graph, s)) continue;
-        if (mp.nodes[su].place_parent != -1) continue;
-        if (consumers[su].size() != 1) continue;
-        // A duplicated operand must be copied into both slots.
-        if (std::count(nd.inputs.begin(), nd.inputs.end(), s) != 1) continue;
-        mp.nodes[su].place_parent = k;
-        mp.nodes[su].place_offset_floats = off;
-        ++mp.concat_elided;
-      }
+  for (int k = 0; k < n; ++k) {
+    const Node& nd = graph.node(k);
+    if (nd.kind != OpKind::kConcat) continue;
+    const std::size_t hw = static_cast<std::size_t>(graph.shape(k).h) *
+                           graph.shape(k).w;
+    std::size_t coff = 0;
+    for (std::size_t a = 0; a < nd.inputs.size(); ++a) {
+      const int s = nd.inputs[a];
+      const std::size_t su = static_cast<std::size_t>(s);
+      const std::size_t off = coff;
+      coff += static_cast<std::size_t>(graph.shape(s).c) * hw;
+      if (graph.node(s).kind == OpKind::kInput) continue;
+      if (is_output(graph, s)) continue;
+      if (mp.nodes[su].place_parent != -1) continue;
+      if (consumers[su].size() != 1) continue;
+      // A duplicated operand must be copied into both slots.
+      if (std::count(nd.inputs.begin(), nd.inputs.end(), s) != 1) continue;
+      mp.nodes[su].place_parent = k;
+      mp.nodes[su].place_offset_floats = off;
+      ++mp.concat_elided;
     }
   }
 
   // --- Pass 2: residual fusion --------------------------------------
-  if (config.fuse_residual) {
-    for (int a = 0; a < n; ++a) {
-      const Node& nd = graph.node(a);
-      if (nd.kind != OpKind::kAdd || mp.nodes[a].skip) continue;
-      const int x0 = nd.inputs[0], x1 = nd.inputs[1];
-      if (x0 == x1) continue;  // self-add: 2·conv, not a residual
-      // Prefer folding into the second operand (the conventional
-      // `x + F(x)` shape); fall back to the first.
-      const auto eligible = [&](int c) {
-        const std::size_t cu = static_cast<std::size_t>(c);
-        if (graph.node(c).kind != OpKind::kConv) return false;
-        if (!residual_capable(plans[cu])) return false;
-        if (consumers[cu].size() != 1) return false;  // only this add
-        if (is_output(graph, c)) return false;
-        if (mp.nodes[cu].place_parent != -1 || mp.nodes[cu].skip)
-          return false;
-        // Exactly one of the two activations can run in the epilogue.
-        return graph.node(c).act == Act::kNone || nd.act == Act::kNone;
-      };
-      const int conv = eligible(x1) ? x1 : (eligible(x0) ? x0 : -1);
-      if (conv == -1) continue;
-      const int other = conv == x1 ? x0 : x1;
-      const std::size_t cu = static_cast<std::size_t>(conv);
-      NodeFusion& cf = mp.nodes[cu];
-      cf.residual_add = true;
-      cf.residual_src = other;
-      cf.residual_out = a;
-      if (graph.node(conv).act == Act::kNone) {
-        // out = add_act(x + conv); the activation sees the sum.
-        cf.mode = EpiMode::kAccThenAct;
-        cf.act = nd.act;
-      } else {
-        // out = x + conv_act(conv); activate first, then accumulate.
-        cf.mode = EpiMode::kActThenAcc;
-        cf.act = graph.node(conv).act;
-      }
-      mp.nodes[static_cast<std::size_t>(a)].skip = true;
-      ++mp.residual_fused;
+  for (int a = 0; a < n; ++a) {
+    const Node& nd = graph.node(a);
+    if (nd.kind != OpKind::kAdd || mp.nodes[a].skip) continue;
+    const int x0 = nd.inputs[0], x1 = nd.inputs[1];
+    if (x0 == x1) continue;  // self-add: 2·conv, not a residual
+    // Prefer folding into the second operand (the conventional
+    // `x + F(x)` shape); fall back to the first.
+    const auto eligible = [&](int c) {
+      const std::size_t cu = static_cast<std::size_t>(c);
+      if (graph.node(c).kind != OpKind::kConv) return false;
+      if (!residual_capable(plans[cu])) return false;
+      if (consumers[cu].size() != 1) return false;  // only this add
+      if (is_output(graph, c)) return false;
+      if (mp.nodes[cu].place_parent != -1 || mp.nodes[cu].skip)
+        return false;
+      // Exactly one of the two activations can run in the epilogue.
+      return graph.node(c).act == Act::kNone || nd.act == Act::kNone;
+    };
+    const int conv = eligible(x1) ? x1 : (eligible(x0) ? x0 : -1);
+    if (conv == -1) continue;
+    const int other = conv == x1 ? x0 : x1;
+    const std::size_t cu = static_cast<std::size_t>(conv);
+    NodeFusion& cf = mp.nodes[cu];
+    cf.residual_add = true;
+    cf.residual_src = other;
+    cf.residual_out = a;
+    if (graph.node(conv).act == Act::kNone) {
+      // out = add_act(x + conv); the activation sees the sum.
+      cf.mode = EpiMode::kAccThenAct;
+      cf.act = nd.act;
+    } else {
+      // out = x + conv_act(conv); activate first, then accumulate.
+      cf.mode = EpiMode::kActThenAcc;
+      cf.act = graph.node(conv).act;
+    }
+    mp.nodes[static_cast<std::size_t>(a)].skip = true;
+    ++mp.residual_fused;
 
-      // Alias the add's buffer onto `other` when the sum can form in
-      // place: the conv's read-modify-write touches each element once,
-      // so overwriting is safe as long as nothing reads `other` after
-      // the conv runs and neither buffer is already a view.
-      const std::size_t ou = static_cast<std::size_t>(other);
-      bool alias = graph.node(other).kind != OpKind::kInput &&
-                   !is_output(graph, other) &&
-                   mp.nodes[ou].place_parent == -1 &&
-                   mp.nodes[static_cast<std::size_t>(a)].place_parent == -1;
-      if (alias) {
-        for (int t : consumers[ou])
-          if (t != a && t >= conv) alias = false;
-      }
-      if (alias) {
-        mp.nodes[static_cast<std::size_t>(a)].place_parent = other;
-        mp.nodes[static_cast<std::size_t>(a)].place_offset_floats = 0;
-      }
+    // Alias the add's buffer onto `other` when the sum can form in
+    // place: the conv's read-modify-write touches each element once,
+    // so overwriting is safe as long as nothing reads `other` after
+    // the conv runs and neither buffer is already a view.
+    const std::size_t ou = static_cast<std::size_t>(other);
+    bool alias = graph.node(other).kind != OpKind::kInput &&
+                 !is_output(graph, other) &&
+                 mp.nodes[ou].place_parent == -1 &&
+                 mp.nodes[static_cast<std::size_t>(a)].place_parent == -1;
+    if (alias) {
+      for (int t : consumers[ou])
+        if (t != a && t >= conv) alias = false;
+    }
+    if (alias) {
+      mp.nodes[static_cast<std::size_t>(a)].place_parent = other;
+      mp.nodes[static_cast<std::size_t>(a)].place_offset_floats = 0;
     }
   }
 
@@ -190,11 +186,6 @@ MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
       r.last = std::max(r.last, t);
   }
 
-  if (!config.plan_memory) {
-    mp.arena_floats = mp.naive_floats;
-    return mp;
-  }
-
   // Largest-first best-fit: each root takes the lowest offset that
   // avoids every already-placed root whose live range overlaps. This
   // is the classic greedy used by static DNN memory planners — not
@@ -232,7 +223,6 @@ MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
     assigned[oi] = 1;
     mp.arena_floats = std::max(mp.arena_floats, off + r.floats);
   }
-  mp.planned = true;
   return mp;
 }
 

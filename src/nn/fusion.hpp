@@ -1,8 +1,8 @@
 // Graph fusion and liveness-driven activation memory planning.
 //
 // Three cooperating transforms, all decided here as a pure function of
-// (graph, per-node conv plans, config) so tests can probe decisions
-// without an engine:
+// (graph, per-node conv plans, max_batch) so tests can probe decisions
+// without an engine. Every engine plan runs all three:
 //
 //   1. Residual fusion — an elementwise Add whose one input is a
 //      single-consumer Conv folds into that conv's GEMM epilogue
@@ -23,8 +23,8 @@
 //      (greedy best-fit, largest first). The plan reports peak arena
 //      bytes before/after so benches can gate the reduction.
 //
-// The planner only *decides*; Engine::prepare() applies the plan by
-// re-pointing per-node activation bases (see engine.hpp).
+// The planner only *decides*; the engine applies the plan by pointing
+// each node's activation base into its one arena (see engine.hpp).
 #pragma once
 
 #include <cstddef>
@@ -35,20 +35,6 @@
 #include "tensor/gemm.hpp"
 
 namespace ocb::nn {
-
-/// Fusion toggles carried inside a PlanRequest. All default off: the
-/// engine's baseline behaviour (one buffer per node, every op
-/// materialized) is unchanged unless a caller opts in.
-struct FusionConfig {
-  bool fuse_residual = false;  ///< fold Add into producer-conv epilogues
-  bool fuse_concat = false;    ///< place producers into concat buffers
-  bool plan_memory = false;    ///< share offsets between dead buffers
-
-  bool any() const noexcept {
-    return fuse_residual || fuse_concat || plan_memory;
-  }
-  bool operator==(const FusionConfig&) const = default;
-};
 
 /// Per-node fusion decision.
 struct NodeFusion {
@@ -75,19 +61,18 @@ struct NodeFusion {
 };
 
 /// The complete fusion + memory decision for one (graph, plans,
-/// config, max_batch) tuple.
+/// max_batch) tuple.
 struct MemoryPlan {
   std::vector<NodeFusion> nodes;  ///< one entry per graph node
 
-  /// Arena offset (floats) of every root node's buffer; only
-  /// meaningful when `planned`. Placed nodes resolve through root_of.
+  /// Arena offset (floats) of every root node's buffer. Placed nodes
+  /// resolve through root_of.
   std::vector<std::size_t> offsets;
-  bool planned = false;  ///< offsets valid (config.plan_memory was on)
 
-  /// Peak activation floats: the planned arena size when `planned`,
-  /// else the naive sum (one live buffer per root).
+  /// Peak activation floats: the liveness-planned arena size.
   std::size_t arena_floats = 0;
-  /// One-buffer-per-node total (the engine's baseline allocation).
+  /// One-buffer-per-node total, the footprint the arena is measured
+  /// against.
   std::size_t naive_floats = 0;
 
   int residual_fused = 0;  ///< Add nodes folded into conv epilogues
@@ -103,9 +88,8 @@ struct MemoryPlan {
 /// `max_batch`. Pure function; never touches engine state. Residual
 /// fusion only engages for dense-storage convs planned as
 /// kDirectGemm / kWinograd / kIm2colFused (the kernels with EpiMode
-/// support); callers running kInt8 must pass a default config (the
-/// quantized path keeps per-node u8 buffers).
+/// support), so kInt8's quantized stripes never fold.
 MemoryPlan plan_fusion(const Graph& graph, const std::vector<ConvPlan>& plans,
-                       const FusionConfig& config, int max_batch);
+                       int max_batch);
 
 }  // namespace ocb::nn

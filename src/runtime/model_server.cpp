@@ -72,7 +72,6 @@ const char* serve_outcome_name(ServeOutcome outcome) noexcept {
 // Runners
 
 EngineBatchRunner::EngineBatchRunner(nn::Engine& engine, int max_batch,
-                                     nn::FusionConfig fusion,
                                      nn::IntegrityConfig integrity)
     : engine_(&engine), integrity_(integrity) {
   OCB_CHECK_MSG(max_batch >= 1, "EngineBatchRunner needs max_batch >= 1");
@@ -81,7 +80,6 @@ EngineBatchRunner::EngineBatchRunner(nn::Engine& engine, int max_batch,
   nn::PlanRequest request;
   request.max_batch = max_batch;
   request.precision = engine_->precision();
-  request.fusion = fusion;
   engine_->prepare(request);
 }
 

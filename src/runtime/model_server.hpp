@@ -106,13 +106,10 @@ class BatchRunner {
 
 /// Real inference: feeds the batch through nn::Engine::run_batch (one
 /// widened GEMM per conv) and reports measured wall time. The engine
-/// must outlive the runner; prepare(PlanRequest{max_batch, fusion}) is
-/// applied at construction (preserving the engine's prepared
-/// precision). `fusion` opts the served engine into graph fusion +
-/// arena planning (see nn/fusion.hpp); it is ignored for kInt8-prepared
-/// engines, matching the engine contract. Payloads are
-/// shared_ptr<std::vector<Tensor>> — the engine outputs for that
-/// frame, identical to what run(frame) yields.
+/// must outlive the runner; prepare(PlanRequest{max_batch}) is applied
+/// at construction (preserving the engine's prepared precision).
+/// Payloads are shared_ptr<std::vector<Tensor>> — the engine outputs
+/// for that frame, identical to what run(frame) yields.
 class EngineBatchRunner final : public BatchRunner {
  public:
   /// `integrity` wires the checksum layer into serving health:
@@ -121,7 +118,6 @@ class EngineBatchRunner final : public BatchRunner {
   /// failing nodes from the master weights then re-verifies. The
   /// default (verify_every = 0) keeps both as unconditional passes.
   EngineBatchRunner(nn::Engine& engine, int max_batch,
-                    nn::FusionConfig fusion = {},
                     nn::IntegrityConfig integrity = {});
   BatchOutput run(const std::vector<ServeRequest>& batch) override;
   bool healthy() override;

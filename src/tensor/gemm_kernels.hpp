@@ -70,6 +70,35 @@ PackedKernel<Packed> pick_kernel(bool simd, PackedKernel<Packed> avx2,
 std::size_t stripe_slot_floats(std::size_t k, std::size_t m,
                                std::size_t image_cols, int batch) noexcept;
 
+/// The stripe schedule of both im2col drivers (fp32 and INT8): calls
+/// run_stripe(s, slot, inner_parallel) once for every stripe s in
+/// [0, stripes). With `parallel` and enough stripes to occupy every
+/// executor, waves of `bufs` stripes pack and multiply concurrently,
+/// each in its own slot (slot_elems apart in `slots`); slots never
+/// outlive the wave, so the scratch footprint stays bufs slots.
+/// Otherwise one slot stays hot and each stripe parallelises its
+/// row-panel loop inside.
+template <typename T, typename RunStripe>
+void stripe_waves(std::size_t stripes, std::size_t bufs, T* slots,
+                  std::size_t slot_elems, bool parallel,
+                  RunStripe&& run_stripe) {
+  const std::size_t executors = ThreadPool::global().size() + 1;
+  if (parallel && bufs > 1 && stripes >= executors) {
+    for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
+      const std::size_t wave = std::min(bufs, stripes - s0);
+      parallel_for(
+          0, wave,
+          [&](std::size_t i) {
+            run_stripe(s0 + i, slots + i * slot_elems,
+                       /*inner_parallel=*/false);
+          },
+          /*grain=*/1);
+    }
+  } else {
+    for (std::size_t s = 0; s < stripes; ++s) run_stripe(s, slots, parallel);
+  }
+}
+
 /// The stripe driver behind every gemm_packed_im2col overload. Walks
 /// the packer's batch columns in fused_panel_cols(k) stripes, packs
 /// each into a wave slot of `scratch` and multiplies it with `kernel`
@@ -135,27 +164,7 @@ void im2col_stripes(const Packed& a, PackedKernel<Packed> kernel,
     each_slice(/*to_tile=*/false);
   };
 
-  const std::size_t executors = ThreadPool::global().size() + 1;
-  if (parallel && bufs > 1 && stripes >= executors) {
-    // Wave parallelism: `bufs` stripes pack and multiply concurrently,
-    // each wave slot owning one panel (and tile); slots never outlive
-    // the wave, so the scratch footprint stays bufs slots.
-    for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
-      const std::size_t wave = std::min(bufs, stripes - s0);
-      parallel_for(
-          0, wave,
-          [&](std::size_t i) {
-            run_stripe(s0 + i, scratch + i * slot_floats,
-                       /*inner_parallel=*/false);
-          },
-          /*grain=*/1);
-    }
-  } else {
-    // Too few stripes to win by stripe parallelism: keep one slot hot
-    // and let the row-panel loop inside each stripe parallelise.
-    for (std::size_t s = 0; s < stripes; ++s)
-      run_stripe(s, scratch, parallel);
-  }
+  stripe_waves(stripes, bufs, scratch, slot_floats, parallel, run_stripe);
 #if defined(OCB_FAULT_HOOKS)
   for (int b = 0; b < packer.batch(); ++b)
     fault_hook::detail::maybe_corrupt_lanes(

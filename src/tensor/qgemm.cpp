@@ -257,22 +257,8 @@ void qgemm_im2col_dispatch(const PackedQuantA& a,
     }
   };
 
-  const std::size_t executors = ThreadPool::global().size() + 1;
-  if (config.parallel && bufs > 1 && stripes >= executors) {
-    for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
-      const std::size_t wave = std::min(bufs, stripes - s0);
-      parallel_for(
-          0, wave,
-          [&](std::size_t i) {
-            run_stripe(s0 + i, panels + i * panel_bytes,
-                       /*inner_parallel=*/false);
-          },
-          /*grain=*/1);
-    }
-  } else {
-    for (std::size_t s = 0; s < stripes; ++s)
-      run_stripe(s, panels, config.parallel);
-  }
+  detail::stripe_waves(stripes, bufs, panels, panel_bytes, config.parallel,
+                       run_stripe);
 }
 
 }  // namespace

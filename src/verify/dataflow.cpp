@@ -282,23 +282,6 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
   }
 
   // --- INT8 residency rules -----------------------------------------
-  if (int8) {
-    // The quantized engine keeps one u8 buffer per node; fusion's
-    // shared-buffer machinery is a float-path feature.
-    if (snap.fusion.planned) {
-      add_finding(report, CheckId::kPrecisionBoundary, -1,
-                  "arena-planned activations under kInt8");
-    }
-    for (int i = 0; i < n; ++i) {
-      const nn::NodeFusion& f = snap.fusion.nodes[static_cast<std::size_t>(i)];
-      if (f.place_parent != -1 || f.skip || f.residual_add) {
-        add_finding(report, CheckId::kPrecisionBoundary, i,
-                    "fusion/placement decision under kInt8 — the "
-                    "quantized path keeps per-node buffers");
-        break;
-      }
-    }
-  }
   if (int8 && !snap.quant.empty()) {
     const std::vector<int>& outs = snap.graph.outputs();
     for (int i = 0; i < n; ++i) {

@@ -166,12 +166,9 @@ void check_fusion(const PlanSnapshot& snap, Report& report) {
 
     // Kernel capability: the residual combine happens in the GEMM /
     // inverse-transform write-back, which only the dense-storage
-    // direct, Winograd and fused-stripe float paths implement.
-    if (snap.precision == nn::Precision::kInt8) {
-      add_finding(report, CheckId::kFusionCapability, c,
-                  "residual fold under kInt8 — the quantized kernels "
-                  "run kStore only");
-    } else if (!epilogue_capable(snap.plan.nodes[cu])) {
+    // direct, Winograd and fused-stripe float paths implement (the
+    // quantized stripes run kStore only).
+    if (!epilogue_capable(snap.plan.nodes[cu])) {
       add_finding(report, CheckId::kFusionCapability, c,
                   "planned algo/storage ("
                   + std::string(nn::conv_algo_name(snap.plan.nodes[cu].algo))

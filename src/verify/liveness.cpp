@@ -208,8 +208,6 @@ void check_liveness(const PlanSnapshot& snap, const Placement& placement,
     }
   }
 
-  if (!snap.fusion.planned) return;  // distinct tensors cannot overlap
-
   // --- Interval analysis over the arena -----------------------------
   // Who writes each node's *content*: the node itself, unless a
   // residual fold redirects a conv's output into it.

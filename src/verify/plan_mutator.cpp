@@ -105,7 +105,6 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
     case PlanDefect::kOverlappingPlacement: {
       // Collapse a producer's arena offset onto a consumer's: the two
       // buffers are necessarily live together at the consumer's index.
-      if (!snap.fusion.planned) return false;
       struct Pair {
         int a, b;
       };
@@ -127,7 +126,6 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
     }
 
     case PlanDefect::kArenaOverflow: {
-      if (!snap.fusion.planned) return false;
       // Shrink the arena below the largest root block.
       std::size_t largest = 0;
       for (int i = 0; i < n; ++i) {

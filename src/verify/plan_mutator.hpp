@@ -50,7 +50,7 @@ CheckId expected_check(PlanDefect defect) noexcept;
 /// Plant `defect` into `snap`, choosing among applicable sites with a
 /// deterministic `seed`. Returns false (snapshot untouched) when the
 /// snapshot offers no applicable site — e.g. kDroppedDequant needs an
-/// INT8 plan, kOverlappingPlacement a planned arena.
+/// INT8 plan, kIncapableFold a residual fold.
 bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
                   std::uint64_t seed);
 

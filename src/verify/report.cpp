@@ -69,7 +69,7 @@ bool check_well_formed(const PlanSnapshot& snap, Report& report) {
                     "-node graph");
     ok = false;
   }
-  if (snap.fusion.planned && snap.fusion.offsets.size() != n) {
+  if (snap.fusion.offsets.size() != n) {
     add_finding(report, CheckId::kPlanCounters, -1,
                 "planned arena carries " +
                     std::to_string(snap.fusion.offsets.size()) +

@@ -54,9 +54,7 @@ Report verify(const nn::Engine& engine) {
     const int root = placement.root[ui];
     const nn::Engine::ActLayoutView v = engine.act_layout(i);
     const std::size_t root_off =
-        snap.fusion.planned
-            ? snap.fusion.offsets[static_cast<std::size_t>(root)]
-            : 0;
+        snap.fusion.offsets[static_cast<std::size_t>(root)];
     const float* want = v.backing + root_off + placement.offset[ui];
     if (v.base != want) {
       detail::add_finding(

@@ -28,7 +28,7 @@
 // It runs three ways: as a debug-build gate inside Engine::prepare()
 // (install_prepare_gate — compiled out of Release hot paths like
 // OCB_FAULT_HOOKS), as the standalone tools/ocb_verify CLI sweeping
-// the model registry × precision/storage × fusion cross-product, and
+// the model registry × precision/storage cross-product, and
 // under mutation testing (plan_mutator.hpp) that plants seeded defects
 // and proves each check individually fires — so the analyzer itself is
 // validated, not trusted.

@@ -414,7 +414,7 @@ TEST(ServingQuarantine, InjectDetectQuarantineReloadReadmit) {
   integrity.verify_every = 1;
   const int handle = server.add_model(
       cfg, std::make_unique<runtime::EngineBatchRunner>(
-               engine, cfg.max_batch, nn::FusionConfig{}, integrity));
+               engine, cfg.max_batch, integrity));
 
   Tensor input({1, 3, 16, 16});
   Rng in_rng(6);
@@ -471,7 +471,7 @@ TEST(ServingQuarantine, HealthyModelNeverQuarantined) {
   integrity.verify_every = 1;
   const int handle = server.add_model(
       cfg, std::make_unique<runtime::EngineBatchRunner>(
-               engine, cfg.max_batch, nn::FusionConfig{}, integrity));
+               engine, cfg.max_batch, integrity));
 
   const auto shared_input =
       std::make_shared<const Tensor>(Tensor({1, 3, 16, 16}, 0.5f));

@@ -78,8 +78,8 @@ nn::Graph all_ops_graph() {
 
 TEST(EngineBatch, BatchedMatchesSerial) {
   // run_batch must reproduce per-frame run() under every plan variant:
-  // weight storage × precision × fusion. Both go through the same
-  // engine, so they execute the same per-layer plan.
+  // weight storage × precision. Both go through the same engine, so
+  // they execute the same per-layer plan.
   constexpr int kFrames = 5;
   std::vector<Tensor> inputs;
   for (int f = 0; f < kFrames; ++f) inputs.push_back(frame_input(f));
@@ -100,45 +100,41 @@ TEST(EngineBatch, BatchedMatchesSerial) {
     nn::Engine calibrator(g, 7);
     const nn::QuantCalibration calib = calibrator.calibrate(inputs);
     for (const Variant& v : variants) {
-      for (const bool fused : {false, true}) {
-        SCOPED_TRACE(std::string(v.name) + (fused ? " fused" : " unfused") +
-                     " over " + std::to_string(g.node_count()) + " nodes");
-        nn::PlanRequest request;
-        request.max_batch = kFrames;
-        request.precision = v.precision;
-        request.calibration = &calib;
-        if (v.sparse) {
-          request.sparsity.scheme = nn::SparsityScheme::kNm;
-          request.sparsity.min_params = 64;  // prune the small layers too
-        }
-        if (v.precision == nn::Precision::kFp16) {
-          // Model a weight-bandwidth-starved device, so the planner
-          // picks 16-bit panels even for these small layers.
-          request.planner.cost = nn::KernelCostModel::defaults(simd::active());
-          request.planner.cost.weight_gbps = 0.01;
-        }
-        // prepare() runs INT8 unfused whatever the request says.
-        request.fusion = {fused, fused, fused};
-        nn::Engine engine(g, 7);
-        const nn::ExecutionPlan& plan = engine.prepare(request);
-        if (v.sparse) EXPECT_GT(plan.sparse_nodes, 0);
-        if (v.precision == nn::Precision::kFp16) EXPECT_GT(plan.fp16_nodes, 0);
-        if (v.precision == nn::Precision::kInt8) EXPECT_GT(plan.quant_nodes, 0);
+      SCOPED_TRACE(std::string(v.name) + " over " +
+                   std::to_string(g.node_count()) + " nodes");
+      nn::PlanRequest request;
+      request.max_batch = kFrames;
+      request.precision = v.precision;
+      request.calibration = &calib;
+      if (v.sparse) {
+        request.sparsity.scheme = nn::SparsityScheme::kNm;
+        request.sparsity.min_params = 64;  // prune the small layers too
+      }
+      if (v.precision == nn::Precision::kFp16) {
+        // Model a weight-bandwidth-starved device, so the planner
+        // picks 16-bit panels even for these small layers.
+        request.planner.cost = nn::KernelCostModel::defaults(simd::active());
+        request.planner.cost.weight_gbps = 0.01;
+      }
+      nn::Engine engine(g, 7);
+      const nn::ExecutionPlan& plan = engine.prepare(request);
+      if (v.sparse) EXPECT_GT(plan.sparse_nodes, 0);
+      if (v.precision == nn::Precision::kFp16) EXPECT_GT(plan.fp16_nodes, 0);
+      if (v.precision == nn::Precision::kInt8) EXPECT_GT(plan.quant_nodes, 0);
 
-        const auto view = engine.run_batch(inputs);
-        ASSERT_EQ(view.size(), static_cast<std::size_t>(kFrames));
-        // run() reuses the output slots the batch view aliases.
-        const std::vector<std::vector<Tensor>> batch_out(view.begin(),
-                                                         view.end());
-        for (int f = 0; f < kFrames; ++f) {
-          const auto ref = engine.run(inputs[static_cast<std::size_t>(f)]);
-          const auto& got = batch_out[static_cast<std::size_t>(f)];
-          ASSERT_EQ(got.size(), ref.size());
-          for (std::size_t o = 0; o < ref.size(); ++o) {
-            ASSERT_EQ(got[o].shape(), ref[o].shape());
-            EXPECT_TRUE(allclose(got[o], ref[o], 1e-4f))
-                << "frame " << f << " output " << o;
-          }
+      const auto view = engine.run_batch(inputs);
+      ASSERT_EQ(view.size(), static_cast<std::size_t>(kFrames));
+      // run() reuses the output slots the batch view aliases.
+      const std::vector<std::vector<Tensor>> batch_out(view.begin(),
+                                                       view.end());
+      for (int f = 0; f < kFrames; ++f) {
+        const auto ref = engine.run(inputs[static_cast<std::size_t>(f)]);
+        const auto& got = batch_out[static_cast<std::size_t>(f)];
+        ASSERT_EQ(got.size(), ref.size());
+        for (std::size_t o = 0; o < ref.size(); ++o) {
+          ASSERT_EQ(got[o].shape(), ref[o].shape());
+          EXPECT_TRUE(allclose(got[o], ref[o], 1e-4f))
+              << "frame " << f << " output " << o;
         }
       }
     }

@@ -221,8 +221,8 @@ std::vector<float> effective_weights(const DeconvShape& d,
   return w;
 }
 
-/// in → deconv, plus an upsampled sibling concatenated after it so that
-/// under concat fusion the deconv writes straight into a placed view of
+/// in → deconv, plus an upsampled sibling concatenated after it, so the
+/// concat placement has the deconv write straight into a placed view of
 /// the concat buffer (a per-image stride that is not its own size).
 Graph deconv_graph(const DeconvShape& d, Act act, int* deconv) {
   Graph g;
@@ -253,11 +253,11 @@ TEST(Deconv, LoweredPlansMatchNaiveTransposedConv) {
   constexpr int kBatch = 3;
   for (const DeconvShape& d : shapes) {
     for (const DeconvVariant& v : deconv_variants()) {
-      for (const bool fused : {false, true}) {
+      for (const Act act : {Act::kNone, Act::kRelu}) {
         SCOPED_TRACE(::testing::Message()
                      << d.in_c << "x" << d.h << "x" << d.w << " -> "
-                     << d.out_c << " " << v.name << " fusion=" << fused);
-        const Act act = fused ? Act::kRelu : Act::kNone;
+                     << d.out_c << " " << v.name
+                     << " act=" << static_cast<int>(act));
         int node = -1;
         const Graph g = deconv_graph(d, act, &node);
         Engine engine(g, 5);
@@ -272,7 +272,6 @@ TEST(Deconv, LoweredPlansMatchNaiveTransposedConv) {
 
         PlanRequest request = v.request;
         request.max_batch = kBatch;
-        if (fused) request.fusion = FusionConfig{true, true, true};
         const ConvPlan& plan =
             engine.prepare(request).nodes[static_cast<std::size_t>(node)];
         ASSERT_EQ(plan.algo, v.algo);

@@ -379,12 +379,19 @@ TEST(Im2colU8, QuadPackerMatchesFloatIm2colQuantized) {
 
 // --- engine calibration + INT8 execution -------------------------------
 
-nn::Graph int8_test_graph() {
+/// in → c1 → pool → c2 → c3 → head. `cut_at_c2` marks c2 (node 3) as
+/// the output and stops there; weights are seeded per node index, so
+/// c1 and c2 match the full graph's.
+nn::Graph int8_test_graph(bool cut_at_c2 = false) {
   nn::Graph g;
   const int in = g.input(3, 24, 24);
   const int c1 = g.conv(in, 12, 3, 1, 1, nn::Act::kLeakyRelu, "c1");
   const int p1 = g.maxpool(c1, 2, 2, 0);
   const int c2 = g.conv(p1, 16, 3, 1, 1, nn::Act::kRelu, "c2");
+  if (cut_at_c2) {
+    g.mark_output(c2);
+    return g;
+  }
   const int c3 = g.conv(c2, 16, 3, 1, 1, nn::Act::kSilu, "c3");
   const int head = g.conv(c3, 5, 1, 1, 0, nn::Act::kNone, "head");
   g.mark_output(head);
@@ -432,7 +439,9 @@ TEST(EngineInt8, OutputsCloseToFp32AfterCalibration) {
 }
 
 TEST(EngineInt8, MidGraphNodeOutputDequantizesLazily) {
-  nn::Engine fp_engine(int8_test_graph(), 43);
+  // node_output() is exact only for graph outputs (and u8-resident
+  // nodes), so the fp32 value of node 3 comes from the graph cut there.
+  nn::Engine fp_engine(int8_test_graph(/*cut_at_c2=*/true), 43);
   nn::Engine q_engine(int8_test_graph(), 43);
   const auto frames = calib_frames(3, 55);
   q_engine.calibrate(frames);
@@ -446,6 +455,7 @@ TEST(EngineInt8, MidGraphNodeOutputDequantizesLazily) {
 
   // Node 3 (conv c2) keeps its output in u8 mid-graph; node_output()
   // must still hand back a coherent float view.
+  ASSERT_TRUE(q_engine.quant_state(3).emit_u8);
   const Tensor& fp_mid = fp_engine.node_output(3);
   const Tensor& q_mid = q_engine.node_output(3);
   ASSERT_EQ(fp_mid.numel(), q_mid.numel());

@@ -1,10 +1,9 @@
 // Static plan verifier (src/verify, DESIGN.md §15): every prepared
-// plan across the precision/storage × fusion cross-product verifies
-// clean, the applied-layout checks agree with the live engine, the
-// prepare() gate hook fires when compiled in — and, the core of the
-// leg, mutation testing: each PlanDefect planted into a snapshot copy
-// must be caught by its intended check, proving no check is vacuously
-// green.
+// plan across the precision/storage cross-product verifies clean, the
+// applied-layout checks agree with the live engine, the prepare() gate
+// hook fires when compiled in — and, the core of the leg, mutation
+// testing: each PlanDefect planted into a snapshot copy must be caught
+// by its intended check, proving no check is vacuously green.
 #include "verify/verify.hpp"
 
 #include <gtest/gtest.h>
@@ -59,12 +58,11 @@ nn::Graph aliased_graph() {
   return g;
 }
 
-nn::PlanRequest fused_request(nn::Precision precision = nn::Precision::kFp32,
+nn::PlanRequest plan_request(nn::Precision precision = nn::Precision::kFp32,
                               bool sparse = false, int max_batch = 2) {
   nn::PlanRequest req;
   req.precision = precision;
   req.max_batch = max_batch;
-  req.fusion = nn::FusionConfig{true, true, true};
   if (sparse) {
     req.sparsity.scheme = nn::SparsityScheme::kNm;
     req.sparsity.nm_n = 2;
@@ -98,18 +96,15 @@ TEST(Verify, CleanAcrossVariants) {
   struct Leg {
     nn::Precision precision;
     bool sparse;
-    bool fusion;
   };
   const Leg legs[] = {
-      {nn::Precision::kFp32, false, false}, {nn::Precision::kFp32, false, true},
-      {nn::Precision::kFp16, false, false}, {nn::Precision::kFp16, false, true},
-      {nn::Precision::kFp32, true, false},  {nn::Precision::kFp32, true, true},
-      {nn::Precision::kFp16, true, false},  {nn::Precision::kFp16, true, true},
+      {nn::Precision::kFp32, false},
+      {nn::Precision::kFp16, false},
+      {nn::Precision::kFp32, true},
+      {nn::Precision::kFp16, true},
   };
   for (const Leg& leg : legs) {
-    nn::PlanRequest req = fused_request(leg.precision, leg.sparse);
-    if (!leg.fusion) req.fusion = nn::FusionConfig{};
-    engine.prepare(req);
+    engine.prepare(plan_request(leg.precision, leg.sparse));
     const Report report = verify(engine);
     EXPECT_TRUE(report.clean()) << report.to_text();
   }
@@ -125,12 +120,15 @@ TEST(Verify, CleanOnInt8Plan) {
   int emitters = 0;
   for (const QuantRecord& q : snap.quant) emitters += q.emit_u8 ? 1 : 0;
   EXPECT_GT(emitters, 0);
+  // INT8 activations live in the liveness-planned arena too.
+  EXPECT_LT(snap.plan.arena_peak_bytes_after,
+            snap.plan.arena_peak_bytes_before);
 }
 
 TEST(Verify, CleanOnAliasedResidual) {
   const nn::Graph g = aliased_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   const Report report = verify(engine);
   EXPECT_TRUE(report.clean()) << report.to_text();
   // The legal in-place alias must actually be present (otherwise this
@@ -151,11 +149,10 @@ TEST(Verify, ReferencePlanHasAllMutationSites) {
   // silently weaker).
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   const PlanSnapshot snap = snapshot(engine);
   EXPECT_GE(snap.plan.residual_fused, 1);
   EXPECT_GE(snap.plan.concat_elided, 2);
-  EXPECT_TRUE(snap.fusion.planned);
   // The fold must be the non-aliased kind (alias-overwrite site).
   for (int i = 0; i < snap.graph.node_count(); ++i) {
     const nn::NodeFusion& f = snap.fusion.nodes[static_cast<std::size_t>(i)];
@@ -170,9 +167,9 @@ TEST(Verify, ReferencePlanHasAllMutationSites) {
 
 TEST(Verify, EveryPlantedDefectIsCaughtByItsCheck) {
   const nn::Graph g = reference_graph();
-  nn::Engine fused(g, 5);
-  fused.prepare(fused_request());
-  const PlanSnapshot float_snap = snapshot(fused);
+  nn::Engine engine(g, 5);
+  engine.prepare(plan_request());
+  const PlanSnapshot float_snap = snapshot(engine);
   ASSERT_TRUE(verify(float_snap).clean()) << verify(float_snap).to_text();
 
   nn::Engine quant = int8_engine(g);
@@ -209,7 +206,7 @@ TEST(Verify, EveryPlantedDefectIsCaughtByItsCheck) {
 TEST(Verify, InapplicableDefectLeavesSnapshotUntouched) {
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   PlanSnapshot snap = snapshot(engine);
   // Dequant defects need an INT8 plan; on a float snapshot the mutator
   // must decline and leave the snapshot verifying clean.
@@ -222,7 +219,7 @@ TEST(Verify, InapplicableDefectLeavesSnapshotUntouched) {
 TEST(Verify, SizeMismatchReportsInsteadOfIndexing) {
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   PlanSnapshot snap = snapshot(engine);
   snap.plan.nodes.pop_back();  // plan no longer covers the graph
   const Report report = verify(snap);
@@ -232,7 +229,7 @@ TEST(Verify, SizeMismatchReportsInsteadOfIndexing) {
 TEST(Verify, SkippedOutputIsUnproduced) {
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   PlanSnapshot snap = snapshot(engine);
   const int out = g.outputs().front();
   snap.fusion.nodes[static_cast<std::size_t>(out)].skip = true;
@@ -281,7 +278,7 @@ TEST(PrepareGate, HookFiresOnPlanRebuild) {
   g_hook_calls = 0;
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
+  engine.prepare(plan_request());
   nn::Engine::set_plan_verify_hook(nullptr);
   EXPECT_GE(g_hook_calls.load(), 1);
 }
@@ -293,12 +290,9 @@ TEST(PrepareGate, AcceptsEveryLegalPlan) {
   ScopedPrepareGate gate;
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
-  engine.prepare(fused_request());
-  engine.prepare(fused_request(nn::Precision::kFp16, true));
-  nn::Engine unfused(g, 6);
-  nn::PlanRequest plain;
-  plain.max_batch = 2;
-  unfused.prepare(plain);
+  engine.prepare(plan_request());
+  engine.prepare(plan_request(nn::Precision::kFp16, true));
+  (void)int8_engine(g);  // calibrates, then prepares an INT8 arena plan
 }
 
 #endif  // OCB_PLAN_VERIFY

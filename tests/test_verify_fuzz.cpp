@@ -132,12 +132,8 @@ PlanSnapshot planned_snapshot(const nn::Graph& g, Rng& rng) {
     plans[static_cast<std::size_t>(i)] = nn::plan_conv(key, cfg);
   }
 
-  nn::FusionConfig fusion;
-  fusion.fuse_residual = rng.bernoulli(0.8);
-  fusion.fuse_concat = rng.bernoulli(0.8);
-  fusion.plan_memory = rng.bernoulli(0.8);
   PlanSnapshot snap;
-  snap.fusion = plan_fusion(g, plans, fusion, max_batch);
+  snap.fusion = plan_fusion(g, plans, max_batch);
   snap.max_batch = max_batch;
 
   snap.plan.precision = nn::Precision::kFp32;
@@ -199,9 +195,6 @@ TEST(VerifyFuzz, EngineBackedGraphsVerifyCleanBeforeAndAfterRunning) {
 
     nn::PlanRequest req;
     req.max_batch = static_cast<int>(child.uniform_int(1, 2));
-    if (child.bernoulli(0.5))
-      req.fusion = nn::FusionConfig{child.bernoulli(0.7), child.bernoulli(0.7),
-                                    child.bernoulli(0.7)};
     if (child.bernoulli(0.3)) req.precision = nn::Precision::kFp16;
     if (child.bernoulli(0.3)) {
       req.sparsity.scheme = nn::SparsityScheme::kNm;

@@ -1,12 +1,13 @@
 // Standalone static-plan-verifier sweep (DESIGN.md §15).
 //
-// Walks registry models through the precision/storage × fusion
-// cross-product, runs the full ocb::verify check catalog over every
-// prepared plan (including the applied-layout checks against the live
-// engine), and emits a machine-readable JSON report. With --mutations
-// it additionally audits the verifier itself: every PlanDefect is
-// planted into snapshot copies and must be caught by its intended
-// check — a defect nobody catches means a check has gone vacuous.
+// Walks registry models through every precision/storage variant (each
+// plan fused and arena-backed, INT8 included), runs the full
+// ocb::verify check catalog over every prepared plan (including the
+// applied-layout checks against the live engine), and emits a
+// machine-readable JSON report. With --mutations it additionally audits
+// the verifier itself: every PlanDefect is planted into snapshot copies
+// and must be caught by its intended check — a defect nobody catches
+// means a check has gone vacuous.
 //
 // Exit status: 0 when every plan verified clean and (with --mutations)
 // every plantable defect was caught; 1 otherwise. CI runs this in a
@@ -29,28 +30,24 @@ using namespace ocb;
 
 namespace {
 
-/// One precision/storage variant of the sweep; fusion on/off doubles
-/// each (except int8, where the engine forces fusion off anyway and
-/// one leg suffices).
+/// One precision/storage variant of the sweep.
 struct Variant {
   const char* name;
   nn::Precision precision;
   bool sparse;
-  bool fused_leg_too;  ///< also run with fusion + arena planning on
 };
 
 constexpr Variant kVariants[] = {
-    {"fp32", nn::Precision::kFp32, false, true},
-    {"fp16", nn::Precision::kFp16, false, true},
-    {"sparse", nn::Precision::kFp32, true, true},
-    {"sparse-half", nn::Precision::kFp16, true, true},
-    {"int8", nn::Precision::kInt8, false, false},
+    {"fp32", nn::Precision::kFp32, false},
+    {"fp16", nn::Precision::kFp16, false},
+    {"sparse", nn::Precision::kFp32, true},
+    {"sparse-half", nn::Precision::kFp16, true},
+    {"int8", nn::Precision::kInt8, false},
 };
 
 struct Row {
   std::string model;
   std::string variant;
-  bool fusion = false;
   int findings = 0;
   int residual_fused = 0;
   int concat_elided = 0;
@@ -73,7 +70,7 @@ std::string canon(const std::string& s) {
   return out;
 }
 
-nn::PlanRequest make_request(const Variant& v, bool fusion) {
+nn::PlanRequest make_request(const Variant& v) {
   nn::PlanRequest req;
   req.precision = v.precision;
   if (v.sparse) {
@@ -81,7 +78,6 @@ nn::PlanRequest make_request(const Variant& v, bool fusion) {
     req.sparsity.nm_n = 2;
     req.sparsity.nm_m = 4;
   }
-  if (fusion) req.fusion = nn::FusionConfig{true, true, true};
   return req;
 }
 
@@ -107,8 +103,7 @@ std::string to_json(const std::vector<Row>& rows,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     out << "    {\"model\": \"" << r.model << "\", \"variant\": \""
-        << r.variant << "\", \"fusion\": " << (r.fusion ? "true" : "false")
-        << ", \"findings\": " << r.findings
+        << r.variant << "\", \"findings\": " << r.findings
         << ", \"residual_fused\": " << r.residual_fused
         << ", \"concat_elided\": " << r.concat_elided << ", \"detail\": \""
         << json_escape(r.detail) << "\"}"
@@ -128,12 +123,11 @@ std::string to_json(const std::vector<Row>& rows,
 
 /// Verify one prepared engine and append the result row.
 void sweep_leg(const nn::Engine& engine, const std::string& model,
-               const char* variant, bool fusion, std::vector<Row>& rows) {
+               const char* variant, std::vector<Row>& rows) {
   const verify::Report report = verify::verify(engine);
   Row row;
   row.model = model;
   row.variant = variant;
-  row.fusion = fusion;
   row.findings = static_cast<int>(report.findings.size());
   row.residual_fused = engine.plan().residual_fused;
   row.concat_elided = engine.plan().concat_elided;
@@ -146,7 +140,7 @@ void sweep_leg(const nn::Engine& engine, const std::string& model,
 int main(int argc, char** argv) {
   Cli cli("ocb_verify",
           "static plan verifier sweep: registry models × "
-          "precision/storage variants × fusion on/off");
+          "precision/storage variants");
   cli.add_double("scale", 0.25,
                  "registry model input scale (1.0 = deployment "
                  "resolution)");
@@ -179,10 +173,10 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   std::vector<Audit> audits;
-  // Snapshots kept for the mutation audit: every model's fused float
-  // plan (most defect classes; each model contributes different node
-  // kinds, e.g. trt_pose's deconvs) and the first model's int8 plan
-  // (the dequant class).
+  // Snapshots kept for the mutation audit: every model's fp32 plan
+  // (most defect classes; each model contributes different node kinds,
+  // e.g. trt_pose's deconvs) and the first model's int8 plan (the
+  // dequant class).
   std::vector<verify::PlanSnapshot> audit_snaps;
 
   for (models::ModelId id : ids) {
@@ -190,8 +184,8 @@ int main(int argc, char** argv) {
     const nn::Graph graph = models::build_model(id, scale);
     nn::Engine engine(graph, 11);
 
-    // Calibrate once while the plan is the constructor's unfused fp32
-    // baseline, so the int8 leg can prepare without arguments.
+    // Calibrate once on the constructor's fp32 baseline plan, so the
+    // int8 leg can prepare without arguments.
     {
       const nn::FeatShape in = graph.input_shape();
       Tensor frame({1, in.c, in.h, in.w});
@@ -201,11 +195,8 @@ int main(int argc, char** argv) {
     }
 
     for (const Variant& v : kVariants) {
-      engine.prepare(make_request(v, false));
-      sweep_leg(engine, info.name, v.name, false, rows);
-      if (!v.fused_leg_too) continue;
-      engine.prepare(make_request(v, true));
-      sweep_leg(engine, info.name, v.name, true, rows);
+      engine.prepare(make_request(v));
+      sweep_leg(engine, info.name, v.name, rows);
       if (cli.flag("mutations") && std::string(v.name) == "fp32")
         audit_snaps.push_back(verify::snapshot(engine));
     }
@@ -248,8 +239,7 @@ int main(int argc, char** argv) {
             << sweep_findings << " findings\n";
   for (const Row& r : rows) {
     if (r.findings == 0) continue;
-    std::cout << "  " << r.model << " / " << r.variant
-              << (r.fusion ? " +fusion" : "") << ": " << r.findings
+    std::cout << "  " << r.model << " / " << r.variant << ": " << r.findings
               << " findings\n"
               << r.detail;
   }
