@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "core/error.hpp"
+#include "parallel/parallel_for.hpp"
 #include "tensor/winograd.hpp"
 
 namespace ocb::nn {
@@ -71,13 +72,11 @@ std::string ExecutionPlan::to_text(const Graph& graph) const {
   }
   out += " (cache " + std::to_string(cache_hits) + " hit/" +
          std::to_string(cache_misses) + " miss)\n";
-  if (residual_fused > 0 || concat_elided > 0 ||
-      arena_peak_bytes_after != arena_peak_bytes_before) {
-    out += "  fusion: residual=" + std::to_string(residual_fused) +
-           " concat=" + std::to_string(concat_elided) + " arena " +
-           std::to_string(arena_peak_bytes_before / 1024) + "KiB -> " +
-           std::to_string(arena_peak_bytes_after / 1024) + "KiB\n";
-  }
+  out += "  fusion: residual=" + std::to_string(residual_fused) +
+         " concat=" + std::to_string(concat_elided) + " arena " +
+         std::to_string(arena_peak_bytes_before / 1024) + "KiB -> " +
+         std::to_string(arena_peak_bytes_after / 1024) + "KiB, conv scratch " +
+         std::to_string(conv_scratch_bytes / 1024) + "KiB\n";
   for (int i = 0; i < graph.node_count(); ++i) {
     const Node& nd = graph.node(i);
     const ConvPlan& p = nodes[static_cast<std::size_t>(i)];
@@ -125,23 +124,27 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
   plan_.nodes.assign(static_cast<std::size_t>(n), ConvPlan{});
   plan_scratch_.assign(static_cast<std::size_t>(n), ConvPlan{});
 
-  for (int i = 0; i < n; ++i) {
-    const Shape ws = graph_.weight_shape(i);
-    if (ws.numel() == 0) continue;
-    // He fan-in: the weights feeding one output channel.
-    const int out_c = graph_.shape(i).c;
-    Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
-    weights_[i] = Tensor(ws);
-    weights_[i].init_he(rng, static_cast<int>(ws.numel()) / out_c);
-    biases_[i] = Tensor({1, out_c, 1, 1});
-  }
-
-  // Load-time plan: pack every GEMM node's weight panels.
-  for (int i = 0; i < n; ++i) {
-    if (!gemm_node(graph_, i)) continue;
-    repack(i);
-    integrity_nodes_.push_back(i);
-  }
+  // Initialise every node's weights and pack its panels (with their
+  // CRCs) across the pool. Each node draws from its own seeded Rng and
+  // touches only its own slots, so the result is the serial one.
+  parallel_for(
+      0, static_cast<std::size_t>(n),
+      [&](std::size_t ui) {
+        const int i = static_cast<int>(ui);
+        const Shape ws = graph_.weight_shape(i);
+        if (ws.numel() == 0) return;
+        // He fan-in: the weights feeding one output channel.
+        const int out_c = graph_.shape(i).c;
+        Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
+        weights_[ui] = Tensor(ws);
+        weights_[ui].init_he(rng, static_cast<int>(ws.numel()) / out_c);
+        biases_[ui] = Tensor({1, out_c, 1, 1});
+        // Load-time plan: pack every GEMM node's weight panels.
+        if (gemm_node(graph_, i)) repack(i);
+      },
+      /*grain=*/1);
+  for (int i = 0; i < n; ++i)
+    if (gemm_node(graph_, i)) integrity_nodes_.push_back(i);
   size_deconv_stage();
   resize_output_slots();
 
@@ -455,6 +458,7 @@ void Engine::reserve_conv_scratch() {
     }
     need = std::max(need, bytes);
   }
+  plan_.conv_scratch_bytes = need;
   need += 2 * Arena::kAlign;  // per-alloc alignment rounding
   if (need > conv_scratch_bytes_) {
     scratch_.arena.reserve_bytes(scratch_.arena.capacity_bytes() + need);

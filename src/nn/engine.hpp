@@ -121,6 +121,10 @@ struct ExecutionPlan {
   /// liveness-planned arena the engine allocates.
   std::size_t arena_peak_bytes_before = 0;
   std::size_t arena_peak_bytes_after = 0;
+  /// Conv scratch the plan needs at max_batch: the largest per-node
+  /// lowering buffer (stripe panels, Winograd block slots, quad
+  /// buffers), which the engine's one conv arena must hold.
+  std::size_t conv_scratch_bytes = 0;
   /// PlanCache traffic attributable to the last prepare() (approximate
   /// when other threads plan concurrently against the same cache).
   std::uint64_t cache_hits = 0;

@@ -4,7 +4,9 @@
 #include <cstring>
 #include <limits>
 
+#include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
+#include "tensor/gemm_kernels.hpp"
 #include "tensor/winograd.hpp"
 
 namespace ocb::nn {
@@ -57,34 +59,74 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
   OCB_CHECK_MSG(
       u_panels.size() == static_cast<std::size_t>(winograd::kTileElems),
       "conv2d_winograd needs 16 transformed weight panels");
-  const std::size_t out_c = u_panels.front().rows();
+  const int out_c = static_cast<int>(u_panels.front().rows());
   const std::size_t in_c = static_cast<std::size_t>(geom.in_c);
-  const std::size_t p_img = winograd::tile_count(geom);
-  const std::size_t ld = p_img * static_cast<std::size_t>(batch);
+  const std::size_t th = static_cast<std::size_t>(winograd::tiles_h(geom));
+  const std::size_t tw = static_cast<std::size_t>(winograd::tiles_w(geom));
+  const std::size_t rows = th * static_cast<std::size_t>(batch);
+  // Blocks of global tile rows g = b·th + ty (winograd::block_count),
+  // heights differing by at most one row.
+  const std::size_t blocks = winograd::block_count(geom, out_c, batch);
+  const std::size_t bufs = fused_panel_buffers(blocks);
+  const std::size_t slot_floats =
+      winograd::block_slot_floats(geom, out_c, batch);
   scratch.arena.reset();
-  float* v = scratch.arena.alloc_floats(
-      static_cast<std::size_t>(winograd::kTileElems) * in_c * ld);
-  float* m = scratch.arena.alloc_floats(
-      static_cast<std::size_t>(winograd::kTileElems) * out_c * ld);
-  for (int b = 0; b < batch; ++b) {
-    winograd::transform_input(
-        input + static_cast<std::size_t>(b) * in_stride, geom, v, ld,
-        static_cast<std::size_t>(b) * p_img);
-  }
-  // Bias + activation wait for the inverse transform: the GEMMs run
-  // in the transformed domain, where neither distributes.
-  for (int xi = 0; xi < winograd::kTileElems; ++xi) {
-    gemm_packed(u_panels[static_cast<std::size_t>(xi)],
-                v + static_cast<std::size_t>(xi) * in_c * ld,
-                m + static_cast<std::size_t>(xi) * out_c * ld, ld);
-  }
+  float* slots = scratch.arena.alloc_floats(bufs * slot_floats);
   const EpiAct epi_act = to_epilogue_act(act);
-  for (int b = 0; b < batch; ++b) {
-    winograd::transform_output(
-        m, ld, static_cast<std::size_t>(b) * p_img, geom,
-        static_cast<int>(out_c), bias, epi_act, mode,
-        output + static_cast<std::size_t>(b) * out_stride);
-  }
+
+  // fn(b, ty0, ty1, col) over the image segments of rows [g0, g1): one
+  // call per image the block touches, or — pooled — one per tile row
+  // across the pool.
+  const auto each_segment = [&](std::size_t g0, std::size_t g1, bool pooled,
+                                const auto& fn) {
+    if (pooled) {
+      parallel_for(
+          g0, g1,
+          [&](std::size_t g) {
+            const int ty = static_cast<int>(g % th);
+            fn(g / th, ty, ty + 1, (g - g0) * tw);
+          },
+          /*grain=*/1);
+      return;
+    }
+    for (std::size_t g = g0; g < g1;) {
+      const std::size_t b = g / th;
+      const std::size_t ty0 = g - b * th;
+      const std::size_t ty1 = std::min(th, ty0 + (g1 - g));
+      fn(b, static_cast<int>(ty0), static_cast<int>(ty1), (g - g0) * tw);
+      g += ty1 - ty0;
+    }
+  };
+
+  const auto run_block = [&](std::size_t s, float* v, bool inner_parallel) {
+    const std::size_t g0 = s * rows / blocks;
+    const std::size_t g1 = (s + 1) * rows / blocks;
+    const std::size_t cols = (g1 - g0) * tw;
+    float* m = v + static_cast<std::size_t>(winograd::kTileElems) * in_c * cols;
+    each_segment(g0, g1, inner_parallel,
+                 [&](std::size_t b, int ty0, int ty1, std::size_t col) {
+                   winograd::transform_input(input + b * in_stride, geom, v,
+                                             cols, col, ty0, ty1);
+                 });
+    // Bias + activation wait for the inverse transform: the GEMMs run
+    // in the transformed domain, where neither distributes.
+    GemmConfig config;
+    config.parallel = inner_parallel;
+    for (std::size_t xi = 0; xi < u_panels.size(); ++xi) {
+      gemm_packed(u_panels[xi], v + xi * in_c * cols,
+                  m + xi * static_cast<std::size_t>(out_c) * cols, cols,
+                  /*accumulate=*/false, GemmEpilogue{}, config);
+    }
+    each_segment(g0, g1, inner_parallel,
+                 [&](std::size_t b, int ty0, int ty1, std::size_t col) {
+                   winograd::transform_output(m, cols, col, geom, out_c, bias,
+                                              epi_act, mode,
+                                              output + b * out_stride, ty0,
+                                              ty1);
+                 });
+  };
+  ocb::detail::stripe_waves(blocks, bufs, slots, slot_floats,
+                            /*parallel=*/true, run_block);
 }
 
 void dwconv2d(const float* input, const ConvGeometry& geom,

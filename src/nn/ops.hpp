@@ -108,12 +108,16 @@ void conv2d_fused(const float* input, std::size_t in_stride, int batch,
 }
 
 /// Winograd F(2×2,3×3) conv (kernel 3, stride 1 only) over weight
-/// panels pre-transformed by winograd::pack_weights: per batch, lower
-/// all images' tiles side by side, run the 16 pointwise GEMMs, and
-/// inverse-transform with bias + activation fused. Layout contracts
-/// (ld/col_offset) match the wide im2col convention of
-/// im2col(image, geom, col, ld, col_offset); V and M live in the arena
-/// (see winograd::scratch_floats).
+/// panels pre-transformed by winograd::pack_weights. The batch's tile
+/// rows, indexed image-major (g = b·tiles_h + ty), run in
+/// winograd::block_count blocks that may span images: each block
+/// input-transforms its rows into a slot-local V, runs the 16 pointwise
+/// GEMMs into M and inverse-transforms straight into the output, with
+/// bias, activation and `mode` fused. V and M never exceed a block, so
+/// they stay in L2 (winograd.hpp has the layout). Blocks run in waves
+/// over the pool like the im2col stripes; when too few blocks fill a
+/// wave, each block fans its transforms and GEMMs out instead. Scratch
+/// use is winograd::scratch_floats(geom, out_c, batch).
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
                      const ConvGeometry& geom,
                      const std::vector<PackedA>& u_panels, const float* bias,

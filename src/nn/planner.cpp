@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/winograd.hpp"
 
@@ -250,17 +251,35 @@ double est_winograd_ms(const ConvPlanKey& key,
   const ConvGeometry geom = key.geometry();
   const double ld =
       static_cast<double>(winograd::tile_count(geom)) * key.batch;
-  // Input transform: per tile-channel, gather 16 floats and store the
-  // 16 transformed values across the xi planes.
-  double ms = copy_ms(32.0 * key.in_c * ld * sizeof(float),
+  const double elems = static_cast<double>(winograd::kTileElems);
+  // The blocked driver (nn/ops.cpp) runs tile-row blocks whose V and M
+  // stay in L2; with enough blocks they run in waves, one block per
+  // executor, so the per-block work overlaps `lanes` ways.
+  const std::size_t blocks =
+      winograd::block_count(geom, key.out_c, key.batch);
+  const std::size_t executors = ThreadPool::global().size() + 1;
+  const double lanes = blocks >= executors
+                           ? static_cast<double>(fused_panel_buffers(blocks))
+                           : 1.0;
+  const double waves = std::ceil(static_cast<double>(blocks) / lanes);
+  // Transform arithmetic (the input side gathers 16 floats per
+  // tile-channel, the inverse writes a 2×2 tile per tile-channel) and
+  // the V/M round trip through each block's L2 run on every lane.
+  double ms = copy_ms(elems * key.in_c * ld * sizeof(float),
                       model.transform_gbps);
-  // 16 pointwise GEMMs of [out_c × in_c] · [in_c × tiles].
-  ms += winograd::kTileElems *
-        gemm_ms(static_cast<std::size_t>(key.out_c),
-                static_cast<std::size_t>(key.in_c),
-                static_cast<std::size_t>(ld), model);
-  // Inverse transform: read 16 product values, write the 2×2 tile.
-  ms += copy_ms(20.0 * key.out_c * ld * sizeof(float), model.transform_gbps);
+  ms += copy_ms(4.0 * key.out_c * ld * sizeof(float), model.transform_gbps);
+  ms += copy_ms(2.0 * elems * (key.in_c + key.out_c) * ld * sizeof(float),
+                cache_gbps_of(model));
+  ms /= lanes;
+  // 16 pointwise GEMMs of [out_c × in_c] · [in_c × tiles]; every wave
+  // beyond the first adds their dispatches and one more pass over the
+  // 16 weight panels.
+  ms += elems * gemm_ms(static_cast<std::size_t>(key.out_c),
+                        static_cast<std::size_t>(key.in_c),
+                        static_cast<std::size_t>(ld), model);
+  const double u_bytes = elems * key.out_c * key.in_c * sizeof(float);
+  ms += (waves - 1.0) * (elems * model.gemm_overhead_us * 1e-3 +
+                         copy_ms(u_bytes, cache_gbps_of(model)));
   return ms;
 }
 

@@ -99,7 +99,12 @@ bool direct_applicable(const ConvPlanKey& key) noexcept;
 /// the stripe panel's write + kernel read at cache_gbps, each stripe
 /// beyond the first adds a dispatch and a packed-A re-read, stripes
 /// spanning images add their staging-tile copy, and the GEMM runs over
-/// the whole batch's columns. est_im2col_storage_ms prices it for
+/// the whole batch's columns. est_winograd_ms prices the blocked
+/// Winograd driver: transform arithmetic at transform_gbps and the V/M
+/// round trip at cache_gbps, both shared by the blocks that run side
+/// by side in one wave (winograd::block_count), then the 16 GEMMs, with
+/// a dispatch and a weight-panel pass per GEMM for every further wave.
+/// est_im2col_storage_ms prices it for
 /// compressed weight panels (`density` is the surviving weight
 /// fraction, ignored for kDense/kHalf); kDense with density 1.0 is
 /// est_im2col_ms exactly. The direct estimates likewise.

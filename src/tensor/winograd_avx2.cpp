@@ -68,14 +68,15 @@ inline void load_row_phases(const float* rp, __m256& x0, __m256& x1,
 }  // namespace
 
 void transform_input_avx2(const float* image, const ConvGeometry& geom,
-                          float* v, std::size_t ld, std::size_t col_offset) {
+                          float* v, std::size_t ld, std::size_t col_offset,
+                          int ty0, int ty1) {
   const int h = geom.in_h, w = geom.in_w, pad = geom.pad;
-  const int th = tiles_h(geom), tw = tiles_w(geom);
+  const int tw = tiles_w(geom);
   const std::size_t plane = static_cast<std::size_t>(geom.in_c) * ld;
   for (int c = 0; c < geom.in_c; ++c) {
     const float* src = image + static_cast<std::size_t>(c) * h * w;
     float* vc = v + static_cast<std::size_t>(c) * ld + col_offset;
-    for (int ty = 0; ty < th; ++ty) {
+    for (int ty = ty0; ty < ty1; ++ty) {
       const int iy0 = ty * kTileOut - pad;
       for (int tx0 = 0;;) {
         if (tx0 + 8 > tw) tx0 = tw - 8;  // tail block: overlap-recompute
@@ -115,7 +116,7 @@ void transform_input_avx2(const float* image, const ConvGeometry& geom,
           t[2][j] = _mm256_sub_ps(d[2][j], d[1][j]);
           t[3][j] = _mm256_sub_ps(d[1][j], d[3][j]);
         }
-        float* base = vc + static_cast<std::size_t>(ty) * tw + tx0;
+        float* base = vc + static_cast<std::size_t>(ty - ty0) * tw + tx0;
         for (int r = 0; r < 4; ++r) {
           const __m256 y0 = _mm256_sub_ps(t[r][0], t[r][2]);
           const __m256 y1 = _mm256_add_ps(t[r][1], t[r][2]);
@@ -137,9 +138,9 @@ void transform_input_avx2(const float* image, const ConvGeometry& geom,
 void transform_output_avx2(const float* m, std::size_t ld,
                            std::size_t col_offset, const ConvGeometry& geom,
                            int out_c, const float* bias, EpiAct act,
-                           EpiMode mode, float* output) {
+                           EpiMode mode, float* output, int ty0, int ty1) {
   const int oh = geom.out_h(), ow = geom.out_w();
-  const int th = tiles_h(geom), tw = tiles_w(geom);
+  const int tw = tiles_w(geom);
   const int full_tw = ow / kTileOut;  // tiles with both columns in-bounds
   // The overlapping-tail trick (recompute the last 8 tiles of a row so
   // the block never leaves full_tw) rewrites pixels. That is idempotent
@@ -174,21 +175,22 @@ void transform_output_avx2(const float* m, std::size_t ld,
           break;
       }
     };
-    for (int ty = 0; ty < th; ++ty) {
+    for (int ty = ty0; ty < ty1; ++ty) {
       const int oy0 = ty * kTileOut;
+      // Column of tile (ty, 0) in the block.
+      const std::size_t row_p = static_cast<std::size_t>(ty - ty0) * tw;
       if (oy0 + kTileOut > oh) {
         // Clipped bottom tile row: scalar tiles.
         for (int tx = 0; tx < tw; ++tx)
-          inverse_tile_scalar(mk, plane,
-                              static_cast<std::size_t>(ty) * tw + tx, oy0,
-                              tx * kTileOut, oh, ow, bk, act, mode, dst);
+          inverse_tile_scalar(mk, plane, row_p + tx, oy0, tx * kTileOut, oh,
+                              ow, bk, act, mode, dst);
         continue;
       }
       int covered = 0;  // tiles written by register blocks this row
       for (int tx0 = 0; tx0 + 8 <= full_tw ||
                         (overlap_tail && full_tw >= 8 && covered < full_tw);) {
         if (tx0 + 8 > full_tw) tx0 = full_tw - 8;  // tail: overlap
-        const std::size_t p0 = static_cast<std::size_t>(ty) * tw + tx0;
+        const std::size_t p0 = row_p + tx0;
         __m256 mm[kTileElems];
         for (int xi = 0; xi < kTileElems; ++xi)
           mm[xi] =
@@ -227,8 +229,8 @@ void transform_output_avx2(const float* m, std::size_t ld,
       // Residual-mode row remainder plus the clipped last column (odd
       // out_w) — everything the register blocks did not cover.
       for (int tx = covered; tx < tw; ++tx)
-        inverse_tile_scalar(mk, plane, static_cast<std::size_t>(ty) * tw + tx,
-                            oy0, tx * kTileOut, oh, ow, bk, act, mode, dst);
+        inverse_tile_scalar(mk, plane, row_p + tx, oy0, tx * kTileOut, oh, ow,
+                            bk, act, mode, dst);
     }
   }
 }
@@ -240,18 +242,19 @@ void transform_output_avx2(const float* m, std::size_t ld,
 namespace ocb::winograd::detail {
 
 void transform_input_avx2(const float* image, const ConvGeometry& geom,
-                          float* v, std::size_t ld, std::size_t col_offset) {
+                          float* v, std::size_t ld, std::size_t col_offset,
+                          int ty0, int ty1) {
   // The dispatcher never routes here when avx2_compiled() is false;
   // keep a correct fallback anyway rather than a trap.
-  transform_input_scalar(image, geom, v, ld, col_offset);
+  transform_input_scalar(image, geom, v, ld, col_offset, ty0, ty1);
 }
 
 void transform_output_avx2(const float* m, std::size_t ld,
                            std::size_t col_offset, const ConvGeometry& geom,
                            int out_c, const float* bias, EpiAct act,
-                           EpiMode mode, float* output) {
+                           EpiMode mode, float* output, int ty0, int ty1) {
   transform_output_scalar(m, ld, col_offset, geom, out_c, bias, act, mode,
-                          output);
+                          output, ty0, ty1);
 }
 
 }  // namespace ocb::winograd::detail

@@ -132,26 +132,28 @@ inline void inverse_tile_scalar(const float* mk, std::size_t plane,
   }
 }
 
-/// Scalar reference transforms — the fallback and the oracle for the
-/// AVX2 path. Defined in winograd.cpp.
+/// Scalar reference transforms over tile rows [ty0, ty1) — the
+/// fallback and the oracle for the AVX2 path. Defined in winograd.cpp.
 void transform_input_scalar(const float* image, const ConvGeometry& geom,
-                            float* v, std::size_t ld, std::size_t col_offset);
+                            float* v, std::size_t ld, std::size_t col_offset,
+                            int ty0, int ty1);
 void transform_output_scalar(const float* m, std::size_t ld,
                              std::size_t col_offset, const ConvGeometry& geom,
                              int out_c, const float* bias, EpiAct act,
-                             EpiMode mode, float* output);
+                             EpiMode mode, float* output, int ty0, int ty1);
 
-/// AVX2 transforms vectorised across 8 consecutive tiles of one tile
-/// row (defined in winograd_avx2.cpp; baseline builds of that TU
+/// AVX2 transforms over tile rows [ty0, ty1), vectorised across 8
+/// consecutive tiles of one tile row (defined in winograd_avx2.cpp; baseline builds of that TU
 /// forward to the scalar versions). Must only be called when
 /// simd::active() == Level::kAvx2; the input form additionally needs
 /// tiles_w(geom) >= 8 and the output form out_w()/kTileOut >= 8, so at
 /// least one full register block fits per tile row.
 void transform_input_avx2(const float* image, const ConvGeometry& geom,
-                          float* v, std::size_t ld, std::size_t col_offset);
+                          float* v, std::size_t ld, std::size_t col_offset,
+                          int ty0, int ty1);
 void transform_output_avx2(const float* m, std::size_t ld,
                            std::size_t col_offset, const ConvGeometry& geom,
                            int out_c, const float* bias, EpiAct act,
-                           EpiMode mode, float* output);
+                           EpiMode mode, float* output, int ty0, int ty1);
 
 }  // namespace ocb::winograd::detail

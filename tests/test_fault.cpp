@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/alloc_guard.hpp"
@@ -20,6 +21,7 @@
 #include "core/rng.hpp"
 #include "devsim/device.hpp"
 #include "nn/engine.hpp"
+#include "nn/ops.hpp"
 #include "nn/prune.hpp"
 #include "runtime/model_server.hpp"
 #include "tensor/fault_hook.hpp"
@@ -328,6 +330,56 @@ TEST(Resilience, RecordedChecksumRejectsOutOfRangeNodes) {
   const nn::Engine engine(g, 23);
   EXPECT_THROW(engine.recorded_checksum(-1), Error);
   EXPECT_THROW(engine.recorded_checksum(g.node_count()), Error);
+}
+
+TEST(Resilience, ParallelConstructionMatchesSerialInitAndPack) {
+  // The constructor initialises and packs nodes across the pool. Every
+  // node's master weights must still be the serial per-node draw
+  // Rng(hash_combine(seed, i)) + init_he, every recorded CRC that of a
+  // fresh pack of the node's GEMM matrix, and two engines must agree.
+  nn::Graph g;
+  int x = g.input(3, 12, 12);
+  for (int i = 0; i < 9; ++i)
+    x = g.conv(x, 6 + i, i % 2 == 0 ? 3 : 1, 1, i % 2 == 0 ? 1 : 0,
+               nn::Act::kRelu, "c" + std::to_string(i));
+  const int up = g.deconv(x, 5, nn::Act::kNone, "up");
+  const int pool = g.global_avg_pool(up, "gap");
+  g.mark_output(g.linear(pool, 7, nn::Act::kNone, "fc"));
+  const std::uint64_t seed = 41;
+  nn::Engine a(g, seed), b(g, seed);
+
+  int checked = 0;
+  for (int i = 0; i < g.node_count(); ++i) {
+    const nn::Node& nd = g.node(i);
+    const Shape ws = g.weight_shape(i);
+    if (ws.numel() == 0) continue;
+    SCOPED_TRACE(nd.name);
+    Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
+    Tensor want(ws);
+    want.init_he(rng, static_cast<int>(ws.numel()) / g.shape(i).c);
+    ASSERT_EQ(std::memcmp(a.weight(i).data(), want.data(),
+                          want.numel() * sizeof(float)),
+              0);
+    ASSERT_EQ(std::memcmp(b.weight(i).data(), want.data(),
+                          want.numel() * sizeof(float)),
+              0);
+
+    // The node's GEMM matrix: a deconv packs its sub-pixel phase
+    // matrix, a conv or linear layer its weights as [out × rest].
+    const int in_c = g.shape(nd.inputs[0]).c;
+    std::vector<float> matrix(want.data(), want.data() + want.numel());
+    std::size_t rows = static_cast<std::size_t>(nd.out_c);
+    if (nd.kind == nn::OpKind::kDeconv) {
+      nn::deconv_phase_weights(want.data(), in_c, nd.out_c, matrix.data());
+      rows *= 4;
+    }
+    const PackedA packed(matrix.data(), rows, matrix.size() / rows);
+    EXPECT_EQ(a.recorded_checksum(i), packed.checksum());
+    EXPECT_EQ(b.recorded_checksum(i), packed.checksum());
+    ++checked;
+  }
+  EXPECT_EQ(checked, 11);
+  EXPECT_EQ(a.verify_weights(/*recover=*/false), 0);
 }
 
 // ------------------------------------------------------- stuck lane

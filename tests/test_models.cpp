@@ -1,6 +1,8 @@
 #include "models/registry.hpp"
 
 #include <cmath>
+#include <cstddef>
+#include <string>
 
 #include "models/trt_pose.hpp"
 
@@ -96,6 +98,19 @@ TEST(ModelZoo, MonodepthOutputsFullResolutionDisparity) {
   EXPECT_EQ(disp.c, 1);
   EXPECT_EQ(disp.h, 320);
   EXPECT_EQ(disp.w, 1024);
+}
+
+TEST(ModelZoo, MonodepthConvScratchStaysBlockSized) {
+  // Winograd runs in L2-sized tile-row blocks, so the default plan's
+  // conv scratch at deployment scale is a few blocks per wave — not
+  // the whole-image transform buffers (167 MiB for this model).
+  const nn::Graph g = build_model(ModelId::kMonodepth2);
+  nn::Engine engine(g, 1);
+  const nn::ExecutionPlan& plan = engine.prepare(nn::PlanRequest{});
+  EXPECT_GT(plan.winograd_nodes, 0);
+  EXPECT_GT(plan.conv_scratch_bytes, 0u);
+  EXPECT_LE(plan.conv_scratch_bytes, std::size_t{32} << 20);
+  EXPECT_NE(plan.to_text(g).find("conv scratch"), std::string::npos);
 }
 
 TEST(ModelZoo, FlopsScaleWithInputResolution) {

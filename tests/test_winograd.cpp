@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "nn/ops.hpp"
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ocb {
@@ -182,11 +184,186 @@ TEST(Winograd, TilingHelpers) {
   EXPECT_EQ(winograd::tiles_h(odd), 4);
   EXPECT_EQ(winograd::tiles_w(odd), 5);
   EXPECT_EQ(winograd::tile_count(odd), 20u);
-  // 16 tile matrices of (in_c + out_c) rows × B·tiles columns.
-  EXPECT_EQ(winograd::scratch_floats(even, 5, 2),
-            16u * (3u + 5u) * (16u * 2u));
+  // Per wave slot, the V + M of the tallest block: 16 matrices of
+  // (in_c + out_c) rows × that block's tile columns. The block count
+  // depends on the pool size, so derive it the way the driver does.
+  for (int batch = 1; batch <= 4; ++batch) {
+    const std::size_t rows = 4u * static_cast<std::size_t>(batch);
+    std::size_t most = 0;
+    for (int b = 1; b <= batch; ++b) {
+      const std::size_t r = 4u * static_cast<std::size_t>(b);
+      const std::size_t blocks = winograd::block_count(even, 5, b);
+      ASSERT_GE(blocks, 1u);
+      ASSERT_LE(blocks, r);
+      most = std::max(most, fused_panel_buffers(blocks) *
+                                ((r + blocks - 1) / blocks));
+    }
+    EXPECT_EQ(winograd::scratch_floats(even, 5, batch),
+              16u * (3u + 5u) * most * 4u)
+        << "batch " << batch << " rows " << rows;
+  }
+  // Large weights (U = 16·in_c·out_c floats past the 1 MiB budget) keep
+  // blocks at least kBlockMinCols wide: 136×128 channels on 8 tile
+  // columns run 16-row blocks, so 32 rows split into 2.
+  const ConvGeometry deep{136, 16, 16, 3, 3, 1, 1};
+  EXPECT_EQ(winograd::block_count(deep, 128, 4), 2u);
+  EXPECT_EQ(winograd::scratch_floats(deep, 128, 4),
+            fused_panel_buffers(2) * 16u * (136u + 128u) * 16u * 8u);
   EXPECT_FALSE(winograd::applicable(ConvGeometry{3, 8, 8, 3, 3, 2, 1}));
   EXPECT_FALSE(winograd::applicable(ConvGeometry{3, 8, 8, 1, 1, 1, 0}));
+}
+
+// --- Blocked driver properties ---------------------------------------------
+//
+// conv2d_winograd walks the batch's tile rows image-major in blocks
+// (winograd::block_count) that may end mid-image and span several
+// images. Each case below runs a batch through it with a gap of canary
+// floats between the output images and past the last one, and checks
+// every image against the per-image im2col oracle under the requested
+// activation and residual EpiMode.
+
+struct BlockCase {
+  int in_c, h, w, out_c, batch;
+};
+
+constexpr float kCanary = -12345.5f;
+
+/// Largest number of images one block's tile rows touch.
+std::size_t max_images_per_block(const ConvGeometry& geom, int out_c,
+                                 int batch) {
+  const std::size_t th = static_cast<std::size_t>(winograd::tiles_h(geom));
+  const std::size_t rows = th * static_cast<std::size_t>(batch);
+  const std::size_t blocks = winograd::block_count(geom, out_c, batch);
+  std::size_t most = 0;
+  for (std::size_t s = 0; s < blocks; ++s) {
+    const std::size_t g0 = s * rows / blocks;
+    const std::size_t g1 = (s + 1) * rows / blocks;
+    most = std::max(most, (g1 - 1) / th - g0 / th + 1);
+  }
+  return most;
+}
+
+void run_block_case(const BlockCase& c, nn::Act act, EpiMode mode,
+                    std::uint64_t seed) {
+  const ConvGeometry geom{c.in_c, c.h, c.w, 3, 3, 1, 1};
+  const std::size_t in_stride =
+      static_cast<std::size_t>(c.in_c) * c.h * c.w;
+  const std::size_t out_numel =
+      static_cast<std::size_t>(c.out_c) * geom.out_h() * geom.out_w();
+  const std::size_t gap = 7;  // canaries between images and past the end
+  const std::size_t out_stride = out_numel + gap;
+
+  Rng rng(seed);
+  Tensor inputs({c.batch, c.in_c, c.h, c.w});
+  inputs.init_uniform(rng, -1.0f, 1.0f);
+  Tensor weight({c.out_c, c.in_c, 3, 3});
+  weight.init_uniform(rng, -0.3f, 0.3f);
+  std::vector<float> bias(static_cast<std::size_t>(c.out_c));
+  for (float& b : bias) b = static_cast<float>(rng.uniform(-0.2, 0.2));
+  // Residual modes combine with what the output already holds.
+  std::vector<float> residual(out_numel * static_cast<std::size_t>(c.batch));
+  for (float& r : residual) r = static_cast<float>(rng.uniform(-1.0, 1.0));
+
+  std::vector<float> out(out_stride * static_cast<std::size_t>(c.batch),
+                         kCanary);
+  for (int b = 0; b < c.batch; ++b)
+    std::copy_n(residual.data() + static_cast<std::size_t>(b) * out_numel,
+                out_numel, out.data() + static_cast<std::size_t>(b) * out_stride);
+
+  std::vector<PackedA> panels;
+  winograd::pack_weights(weight.data(), c.out_c, c.in_c, panels);
+  nn::ConvScratch scratch;
+  nn::conv2d_winograd(inputs.data(), in_stride, c.batch, geom, panels,
+                      bias.data(), act, out.data(), out_stride, scratch, mode);
+
+  const EpiAct epi = nn::to_epilogue_act(act);
+  Tensor raw({1, c.out_c, geom.out_h(), geom.out_w()});
+  nn::ConvScratch ref_scratch;
+  for (int b = 0; b < c.batch; ++b) {
+    SCOPED_TRACE(::testing::Message() << "image " << b);
+    nn::conv2d(inputs.data() + static_cast<std::size_t>(b) * in_stride, geom,
+               c.out_c, weight.data(), bias.data(), nn::Act::kNone,
+               raw.data(), ref_scratch);
+    const float* got = out.data() + static_cast<std::size_t>(b) * out_stride;
+    const float* res = residual.data() + static_cast<std::size_t>(b) * out_numel;
+    for (std::size_t i = 0; i < out_numel; ++i) {
+      float want = apply_epi_act(epi, raw[i]);
+      if (mode == EpiMode::kAccThenAct) want = apply_epi_act(epi, res[i] + raw[i]);
+      if (mode == EpiMode::kActThenAcc) want = res[i] + apply_epi_act(epi, raw[i]);
+      ASSERT_NEAR(got[i], want, 1e-4f * std::max(1.0f, std::fabs(want)))
+          << "i=" << i;
+    }
+    for (std::size_t i = out_numel; i < out_stride; ++i)
+      ASSERT_EQ(got[i], kCanary) << "canary " << i - out_numel;
+  }
+}
+
+// Shapes for the block properties. Tile rows per image: h/2 rounded
+// up; tiles_w < 8 runs the scalar transforms, ≥ 8 the AVX2 ones.
+const BlockCase kBlockCases[] = {
+    {3, 13, 11, 5, 1},   // odd out_h/out_w, scalar width (6 tiles)
+    {3, 13, 11, 5, 3},   // same, blocks spanning images
+    {4, 9, 17, 6, 4},    // odd, 9 tile columns (AVX2 + clipped edge)
+    {5, 26, 18, 7, 3},   // 13 tile rows per image: uneven block heights
+    {2, 6, 6, 3, 4},     // 3 tile rows: each block spans several images
+    {6, 2, 20, 4, 3},    // one tile row per image: blocks span 3 images
+    {136, 16, 16, 128, 4},  // U past the budget: two floor-wide blocks
+    {136, 7, 9, 128, 3},    // ... one block spanning all 3 odd images
+    {136, 46, 16, 128, 1},  // ... 23 tile rows in blocks of 11 and 12
+};
+
+TEST(WinogradBlocks, MatchIm2colAcrossBatchesAndBlockSplits) {
+  std::uint64_t seed = 500;
+  std::size_t spans_two = 0, spans_three = 0, uneven = 0;
+  for (const BlockCase& c : kBlockCases) {
+    const ConvGeometry geom{c.in_c, c.h, c.w, 3, 3, 1, 1};
+    const std::size_t rows =
+        static_cast<std::size_t>(winograd::tiles_h(geom)) * c.batch;
+    const std::size_t blocks = winograd::block_count(geom, c.out_c, c.batch);
+    const std::size_t span = max_images_per_block(geom, c.out_c, c.batch);
+    if (span >= 2) ++spans_two;
+    if (span >= 3) ++spans_three;
+    if (rows % blocks != 0) ++uneven;
+    SCOPED_TRACE(::testing::Message()
+                 << "in_c=" << c.in_c << " h=" << c.h << " w=" << c.w
+                 << " out_c=" << c.out_c << " batch=" << c.batch
+                 << " blocks=" << blocks);
+    run_block_case(c, nn::Act::kSilu, EpiMode::kStore, seed++);
+  }
+  // The shapes must actually exercise the properties they are for
+  // (whatever the pool size, which moves the small-weight splits).
+  EXPECT_GE(spans_two, 2u);
+  EXPECT_GE(spans_three, 1u);
+  EXPECT_GE(uneven, 1u);
+}
+
+TEST(WinogradBlocks, EveryEpiModeAndActivation) {
+  std::uint64_t seed = 700;
+  for (const BlockCase& c : {BlockCase{3, 13, 11, 5, 3},
+                             BlockCase{4, 9, 17, 6, 4}}) {
+    for (EpiMode mode : {EpiMode::kStore, EpiMode::kAccThenAct,
+                         EpiMode::kActThenAcc}) {
+      for (nn::Act act : {nn::Act::kNone, nn::Act::kRelu,
+                          nn::Act::kLeakyRelu, nn::Act::kSilu,
+                          nn::Act::kSigmoid}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "w=" << c.w << " mode=" << static_cast<int>(mode)
+                     << " act=" << static_cast<int>(act));
+        run_block_case(c, act, mode, seed++);
+      }
+    }
+  }
+}
+
+TEST(WinogradBlocks, ScalarTransformsMatchTheOracleToo) {
+  // Force the scalar transforms on the AVX2-width shapes as well.
+  simd::set_simd_enabled(false);
+  std::uint64_t seed = 900;
+  for (const BlockCase& c : kBlockCases) {
+    SCOPED_TRACE(::testing::Message() << "w=" << c.w << " batch=" << c.batch);
+    run_block_case(c, nn::Act::kRelu, EpiMode::kActThenAcc, seed++);
+  }
+  simd::set_simd_enabled(true);
 }
 
 }  // namespace
