@@ -75,8 +75,8 @@ void BM_DepthwiseConv(benchmark::State& state) {
   for (float& v : input) v = static_cast<float>(rng.uniform(-1, 1));
   for (float& v : weight) v = static_cast<float>(rng.uniform(-1, 1));
   for (auto _ : state) {
-    nn::dwconv2d(input.data(), geom, weight.data(), bias.data(),
-                 nn::Act::kNone, output.data());
+    nn::dwconv2d(input.data(), input.size(), 1, geom, weight.data(),
+                 bias.data(), nn::Act::kNone, output.data(), output.size());
     benchmark::DoNotOptimize(output.data());
   }
 }

@@ -65,6 +65,12 @@ correctness:
                    reports one latency per layer cannot explain. A skip
                    driven by structure rather than values (e.g. a
                    pruning mask) carries allow(zero-skip) and a reason.
+  sign-branch      `if (x[i] < 0.0f)`-style branches on the sign of an
+                   element in src/nn and src/tensor. An activation or
+                   kernel that branches per element runs at a speed
+                   that depends on how many values are negative; write
+                   it branch-free (max/blend, as the GEMM epilogue
+                   does) so a layer's latency is one number.
   bench-baseline   bench/baselines/*.json must parse and carry the
                    top-level keys scripts/check_bench_regression.py
                    keys off, so a malformed baseline fails in lint, not
@@ -394,6 +400,33 @@ def check_zero_skip(rel: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
+# --- rule: sign-branch ------------------------------------------------------
+
+# An `if` whose whole condition compares an indexed or dereferenced
+# element with a floating-point zero.
+SIGN_BRANCH_RE = re.compile(
+    r"\bif\s*\(\s*(?:\w+\s*\[[^\]]+\]|\*\s*\w+)\s*(?:<|<=|>|>=)\s*"
+    r"(?:0\.0*f?|0f)\s*\)")
+SIGN_BRANCH_SCOPE = ZERO_SKIP_SCOPE
+
+
+def check_sign_branch(rel: str, lines: list[str]) -> list[Finding]:
+    if not rel.startswith(SIGN_BRANCH_SCOPE):
+        return []
+    findings = []
+    for i, raw in enumerate(lines, 1):
+        if not SIGN_BRANCH_RE.search(strip_comments_and_strings(raw)):
+            continue
+        if "sign-branch" in allowed_rules(raw):
+            continue
+        findings.append(Finding(
+            "sign-branch", rel, i,
+            "per-element branch on the sign of a value in an inference "
+            "kernel — latency would depend on the activations; use "
+            "std::max / a blend (see apply_epi_act, apply_act256)"))
+    return findings
+
+
 # --- rule: simd-tu ----------------------------------------------------------
 
 SIMD_INTRINSIC_RE = re.compile(
@@ -550,6 +583,7 @@ FILE_CHECKS = [
     check_guarded_by_exists,
     check_include_hygiene,
     check_zero_skip,
+    check_sign_branch,
     check_simd_tu,
     check_sparse_dense_unpack,
     check_fault_hook_guard,
@@ -679,6 +713,10 @@ SELF_TEST_CASES = [
      ["          if (v == 0.0f) continue;"]),
     ("zero-skip", "src/tensor/bad.cpp",
      ["if (x ==0.0) continue;"]),
+    ("sign-branch", "src/nn/bad.cpp",
+     ["        if (data[i] < 0.0f) data[i] = 0.0f;"]),
+    ("sign-branch", "src/tensor/bad.cpp",
+     ["if (*p >= 0.f) ++positive;"]),
     ("simd-tu", "src/nn/bad.cpp",
      ["__m256 acc = _mm256_setzero_ps();"]),
     ("simd-tu", "src/tensor/bad.hpp",
@@ -729,7 +767,13 @@ SELF_TEST_CLEAN = [
       "if (ws.numel() == 0) continue;  // integer: not a value skip",
       "// if (v == 0.0f) continue; in a comment is fine"]),
     ("src/autograd/good.cpp",
-     ["if (aval == 0.0f) continue;  // training code is out of scope"]),
+     ["if (aval == 0.0f) continue;  // training code is out of scope",
+      "if (x[i] < 0.0f) g[i] = 0.0f;  // so is the autograd ReLU"]),
+    ("src/nn/good3.cpp",
+     ["data[i] = std::max(data[i], 0.0f);",
+      "if (model.weight_gbps > 0.0) {  // a scalar setting, not an element",
+      "if (off[t] < 0) continue;  // integer index: padding, not a value",
+      "if (v[i] < 0.0f) ++neg;  // ocb-lint: allow(sign-branch) stats"]),
     ("src/tensor/sgemm_sparse_avx2.cpp",
      ["__m256 acc = _mm256_setzero_ps();",
       "#include <immintrin.h>"]),

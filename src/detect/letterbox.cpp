@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "image/transform.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace ocb {
 
@@ -20,10 +22,17 @@ Image letterbox(const Image& src, int size, LetterboxInfo& info) {
   Image canvas(size, size, src.channels(), kPadGrey);
   const int off_x = (size - new_w) / 2;
   const int off_y = (size - new_h) / 2;
-  for (int c = 0; c < src.channels(); ++c)
-    for (int y = 0; y < new_h; ++y)
-      for (int x = 0; x < new_w; ++x)
-        canvas.at(c, y + off_y, x + off_x) = resized.at(c, y, x);
+  // One row memcpy per (channel, row) of the resized image, split over
+  // the pool: this copy sits inside every timed detection frame.
+  parallel_rows(static_cast<std::size_t>(src.channels()) * new_h,
+                [&](std::size_t r) {
+                  const std::size_t c = r / static_cast<std::size_t>(new_h);
+                  const std::size_t y = r % static_cast<std::size_t>(new_h);
+                  std::memcpy(canvas.data() +
+                                  (c * size + y + off_y) * size + off_x,
+                              resized.data() + r * new_w,
+                              static_cast<std::size_t>(new_w) * sizeof(float));
+                });
 
   info.scale = scale;
   info.pad_x = static_cast<float>(off_x);

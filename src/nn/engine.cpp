@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <numeric>
 
 #include "core/error.hpp"
 #include "parallel/parallel_for.hpp"
@@ -126,21 +127,34 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
 
   // Initialise every node's weights and pack its panels (with their
   // CRCs) across the pool. Each node draws from its own seeded Rng and
-  // touches only its own slots, so the result is the serial one.
+  // touches only its own slots, so the result is the serial one. Node
+  // costs differ by orders of magnitude, so each executor claims one
+  // node at a time, largest weights first: a range chunk of several
+  // deep layers would leave the other executors idle behind it.
+  std::vector<int> order(static_cast<std::size_t>(n));
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return graph_.weight_shape(a).numel() > graph_.weight_shape(b).numel();
+  });
+  std::atomic<std::size_t> next{0};
   parallel_for(
-      0, static_cast<std::size_t>(n),
-      [&](std::size_t ui) {
-        const int i = static_cast<int>(ui);
-        const Shape ws = graph_.weight_shape(i);
-        if (ws.numel() == 0) return;
-        // He fan-in: the weights feeding one output channel.
-        const int out_c = graph_.shape(i).c;
-        Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
-        weights_[ui] = Tensor(ws);
-        weights_[ui].init_he(rng, static_cast<int>(ws.numel()) / out_c);
-        biases_[ui] = Tensor({1, out_c, 1, 1});
-        // Load-time plan: pack every GEMM node's weight panels.
-        if (gemm_node(graph_, i)) repack(i);
+      0, ThreadPool::global().executors(),
+      [&](std::size_t) {
+        for (std::size_t j; (j = next.fetch_add(1, std::memory_order_relaxed)) <
+                            order.size();) {
+          const int i = order[j];
+          const std::size_t ui = static_cast<std::size_t>(i);
+          const Shape ws = graph_.weight_shape(i);
+          if (ws.numel() == 0) continue;
+          // He fan-in: the weights feeding one output channel.
+          const int out_c = graph_.shape(i).c;
+          Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
+          weights_[ui] = Tensor(ws);
+          weights_[ui].init_he(rng, static_cast<int>(ws.numel()) / out_c);
+          biases_[ui] = Tensor({1, out_c, 1, 1});
+          // Load-time plan: pack every GEMM node's weight panels.
+          if (gemm_node(graph_, i)) repack(i);
+        }
       },
       /*grain=*/1);
   for (int i = 0; i < n; ++i)
@@ -174,7 +188,8 @@ void Engine::materialize_outputs(int image, std::vector<Tensor>& dst) const {
     const std::size_t ni = static_cast<std::size_t>(node);
     const float* src = act_base_[ni] +
                        static_cast<std::size_t>(image) * act_stride_[ni];
-    std::copy_n(src, graph_.shape(node).numel(), dst[j].data());
+    const std::size_t n = graph_.shape(node).numel();
+    copy_images(src, n, 1, n, dst[j].data(), n);
   }
 }
 
@@ -800,9 +815,12 @@ void Engine::forward(std::span<const Tensor> inputs) {
 
     // Image b of input k's activation (all images are live: every node
     // below processes the full batch).
+    auto src_stride = [&](std::size_t k) {
+      return act_stride_[static_cast<std::size_t>(nd.inputs[k])];
+    };
     auto src_at = [&](std::size_t k, int b) -> const float* {
-      const std::size_t s = static_cast<std::size_t>(nd.inputs[k]);
-      return act_base_[s] + static_cast<std::size_t>(b) * act_stride_[s];
+      return act_base_[static_cast<std::size_t>(nd.inputs[k])] +
+             static_cast<std::size_t>(b) * src_stride(k);
     };
     auto dst_at = [&](int b) -> float* {
       return dst_base + static_cast<std::size_t>(b) * dst_stride;
@@ -813,8 +831,7 @@ void Engine::forward(std::span<const Tensor> inputs) {
                         Act act, float* out, std::size_t out_stride,
                         EpiMode mode) {
       const float* src = src_at(0, 0);
-      const std::size_t sstride =
-          act_stride_[static_cast<std::size_t>(nd.inputs[0])];
+      const std::size_t sstride = src_stride(0);
       switch (plan_.nodes[ui].algo) {
         case ConvAlgo::kWinograd:
           conv2d_winograd(src, sstride, batch, geom, w.wino, conv_bias, act,
@@ -838,8 +855,8 @@ void Engine::forward(std::span<const Tensor> inputs) {
     switch (nd.kind) {
       case OpKind::kInput:
         for (int b = 0; b < batch; ++b)
-          std::copy_n(inputs[static_cast<std::size_t>(b)].data(), out_chw,
-                      dst_at(b));
+          copy_images(inputs[static_cast<std::size_t>(b)].data(), out_chw, 1,
+                      out_chw, dst_at(b), dst_stride);
         break;
       case OpKind::kConv: {
         const ConvGeometry geom = gemm_node(graph_, i).geom;
@@ -875,11 +892,9 @@ void Engine::forward(std::span<const Tensor> inputs) {
           if (fusion_.nodes[ai].place_parent != fus.residual_src) {
             const std::size_t xi =
                 static_cast<std::size_t>(fus.residual_src);
-            const std::size_t cn = graph_.shape(fus.residual_out).numel();
-            for (int b = 0; b < batch; ++b)
-              std::copy_n(act_base_[xi] +
-                              static_cast<std::size_t>(b) * act_stride_[xi],
-                          cn, outp + static_cast<std::size_t>(b) * out_stride);
+            copy_images(act_base_[xi], act_stride_[xi], batch,
+                        graph_.shape(fus.residual_out).numel(), outp,
+                        out_stride);
           }
         }
         run_conv(geom, bias, act, outp, out_stride, mode);
@@ -889,9 +904,8 @@ void Engine::forward(std::span<const Tensor> inputs) {
         const FeatShape s = graph_.shape(nd.inputs[0]);
         const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
                                 nd.stride, nd.pad};
-        for (int b = 0; b < batch; ++b)
-          dwconv2d(src_at(0, b), geom, weights_[ui].data(), bias, nd.act,
-                   dst_at(b));
+        dwconv2d(src_at(0, 0), src_stride(0), batch, geom,
+                 weights_[ui].data(), bias, nd.act, dst_base, dst_stride);
         break;
       }
       case OpKind::kDeconv: {
@@ -908,40 +922,38 @@ void Engine::forward(std::span<const Tensor> inputs) {
             static_cast<std::size_t>(g.rows) * g.geom.col_cols();
         run_conv(g.geom, deconv_bias_.data(), nd.act, deconv_stage_.data(),
                  stage_stride, EpiMode::kStore);
-        for (int b = 0; b < batch; ++b)
-          deconv_interleave(
-              deconv_stage_.data() + static_cast<std::size_t>(b) * stage_stride,
-              nd.out_c, g.geom.in_h, g.geom.in_w, dst_at(b));
+        deconv_interleave(deconv_stage_.data(), stage_stride, batch, nd.out_c,
+                          g.geom.in_h, g.geom.in_w, dst_base, dst_stride);
         break;
       }
       case OpKind::kMaxPool: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
         const ConvGeometry geom{s.c, s.h, s.w, nd.kernel, nd.kernel,
                                 nd.stride, nd.pad};
-        for (int b = 0; b < batch; ++b)
-          maxpool2d(src_at(0, b), geom, dst_at(b));
+        maxpool2d(src_at(0, 0), src_stride(0), batch, geom, dst_base,
+                  dst_stride);
         break;
       }
       case OpKind::kUpsample: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b)
-          upsample2x_nearest(src_at(0, b), s.c, s.h, s.w, dst_at(b));
+        upsample2x_nearest(src_at(0, 0), src_stride(0), batch, s.c, s.h, s.w,
+                           dst_base, dst_stride);
         break;
       }
-      case OpKind::kConcat:
+      case OpKind::kConcat: {
         // Inputs the fusion plan placed into this buffer already wrote
         // their channel range; copy only the rest.
-        for (int b = 0; b < batch; ++b) {
-          std::size_t coff = 0;
-          for (std::size_t k = 0; k < nd.inputs.size(); ++k) {
-            const int sn = nd.inputs[k];
-            const std::size_t cn = graph_.shape(sn).numel();
-            if (fusion_.nodes[static_cast<std::size_t>(sn)].place_parent != i)
-              std::copy_n(src_at(k, b), cn, dst_at(b) + coff);
-            coff += cn;
-          }
+        std::size_t coff = 0;
+        for (std::size_t k = 0; k < nd.inputs.size(); ++k) {
+          const int sn = nd.inputs[k];
+          const std::size_t cn = graph_.shape(sn).numel();
+          if (fusion_.nodes[static_cast<std::size_t>(sn)].place_parent != i)
+            copy_images(src_at(k, 0), src_stride(k), batch, cn,
+                        dst_base + coff, dst_stride);
+          coff += cn;
         }
         break;
+      }
       case OpKind::kAdd: {
         if (fusion_.nodes[ui].skip)
           break;  // folded into the producer conv's epilogue
@@ -952,27 +964,24 @@ void Engine::forward(std::span<const Tensor> inputs) {
           // All three buffers hold the batch contiguously: one call
           // covers every image.
           const std::size_t total = out_chw * static_cast<std::size_t>(batch);
-          add_elementwise(src_at(0, 0), src_at(1, 0), total, dst_base);
-          apply_activation(nd.act, dst_base, total);
+          add_elementwise(src_at(0, 0), src_at(1, 0), total, dst_base, nd.act);
         } else {
-          for (int b = 0; b < batch; ++b) {
-            add_elementwise(src_at(0, b), src_at(1, b), out_chw, dst_at(b));
-            apply_activation(nd.act, dst_at(b), out_chw);
-          }
+          for (int b = 0; b < batch; ++b)
+            add_elementwise(src_at(0, b), src_at(1, b), out_chw, dst_at(b),
+                            nd.act);
         }
         break;
       }
       case OpKind::kSlice: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b)
-          slice_channels(src_at(0, b), s.c, s.h, s.w, nd.slice_begin,
-                         nd.slice_end, dst_at(b));
+        slice_channels(src_at(0, 0), src_stride(0), batch, s.h, s.w,
+                       nd.slice_begin, nd.slice_end, dst_base, dst_stride);
         break;
       }
       case OpKind::kGlobalAvgPool: {
         const FeatShape s = graph_.shape(nd.inputs[0]);
-        for (int b = 0; b < batch; ++b)
-          global_avg_pool(src_at(0, b), s.c, s.h, s.w, dst_at(b));
+        global_avg_pool(src_at(0, 0), src_stride(0), batch, s.c, s.h, s.w,
+                        dst_base, dst_stride);
         break;
       }
       case OpKind::kLinear:

@@ -1,9 +1,5 @@
 #include "nn/layer.hpp"
 
-#include <cmath>
-
-#include "tensor/gemm.hpp"
-
 namespace ocb::nn {
 
 const char* op_name(OpKind kind) noexcept {
@@ -21,31 +17,6 @@ const char* op_name(OpKind kind) noexcept {
     case OpKind::kLinear: return "linear";
   }
   return "?";
-}
-
-void apply_activation(Act act, float* data, std::size_t n) noexcept {
-  switch (act) {
-    case Act::kNone:
-      return;
-    case Act::kRelu:
-      for (std::size_t i = 0; i < n; ++i)
-        if (data[i] < 0.0f) data[i] = 0.0f;
-      return;
-    case Act::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i)
-        if (data[i] < 0.0f) data[i] *= kLeakySlope;
-      return;
-    case Act::kSilu:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float x = data[i];
-        data[i] = x / (1.0f + std::exp(-x));
-      }
-      return;
-    case Act::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i)
-        data[i] = 1.0f / (1.0f + std::exp(-data[i]));
-      return;
-  }
 }
 
 }  // namespace ocb::nn

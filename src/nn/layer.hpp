@@ -58,7 +58,9 @@ struct FeatShape {
   bool operator==(const FeatShape&) const = default;
 };
 
-/// Apply an activation in place.
+/// Apply an activation in place, branch-free and over the global pool:
+/// the GEMM epilogue's activation (fast_exp for SiLU and sigmoid), so a
+/// standalone activation equals a fused one. Defined in nn/ops.cpp.
 void apply_activation(Act act, float* data, std::size_t n) noexcept;
 
 }  // namespace ocb::nn

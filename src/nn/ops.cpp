@@ -4,6 +4,7 @@
 #include <cstring>
 #include <limits>
 
+#include "nn/ops_kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_kernels.hpp"
@@ -24,18 +25,60 @@ EpiAct to_epilogue_act(Act act) noexcept {
 
 namespace {
 
-inline float activate_scalar(Act act, float v) noexcept {
-  switch (act) {
-    case Act::kNone: return v;
-    case Act::kRelu: return v < 0.0f ? 0.0f : v;
-    case Act::kLeakyRelu: return v < 0.0f ? kLeakySlope * v : v;
-    case Act::kSilu: return fast_silu(v);
-    case Act::kSigmoid: return fast_sigmoid(v);
-  }
-  return v;
+/// Floats of work below which one pool task is not worth its wake and
+/// claim: an op with less than this per executor stays on the calling
+/// thread. 256 KiB of copy per task; a quarter of that ran the scale-0.25
+/// models slower on a 4-vCPU AVX2 host, the copies paying more in wakes
+/// than they saved.
+constexpr std::size_t kTaskFloats = 65536;
+
+/// fn(b, ch) over the `batch`·`c` planes of an op, image-major, each
+/// `plane_floats` of work, at least kTaskFloats per pool task.
+template <typename Fn>
+void for_planes(int batch, int c, std::size_t plane_floats, Fn&& fn) {
+  const std::size_t cs = static_cast<std::size_t>(c);
+  const std::size_t grain =
+      kTaskFloats / std::max<std::size_t>(1, plane_floats);
+  parallel_for(
+      0, static_cast<std::size_t>(batch) * cs,
+      [&](std::size_t t) {
+        fn(static_cast<int>(t / cs), static_cast<int>(t % cs));
+      },
+      std::max<std::size_t>(1, grain));
+}
+
+/// fn(b, lo, hi) over [0, n) of each of `batch` images in kTaskFloats
+/// blocks, one pool task per block.
+template <typename Fn>
+void for_blocks(int batch, std::size_t n, Fn&& fn) {
+  const std::size_t per = (n + kTaskFloats - 1) / kTaskFloats;
+  parallel_for(
+      0, static_cast<std::size_t>(batch) * per,
+      [&](std::size_t t) {
+        const std::size_t lo = (t % per) * kTaskFloats;
+        fn(static_cast<int>(t / per), lo, std::min(n, lo + kTaskFloats));
+      },
+      /*grain=*/1);
 }
 
 }  // namespace
+
+void apply_activation(Act act, float* data, std::size_t n) noexcept {
+  const EpiAct epi_act = to_epilogue_act(act);
+  if (epi_act == EpiAct::kNone) return;
+  for_blocks(1, n, [&](int, std::size_t lo, std::size_t hi) {
+    detail::act_row(data + lo, hi - lo, epi_act);
+  });
+}
+
+void copy_images(const float* src, std::size_t src_stride, int batch,
+                 std::size_t n, float* dst, std::size_t dst_stride) {
+  for_blocks(batch, n, [&](int b, std::size_t lo, std::size_t hi) {
+    const std::size_t bi = static_cast<std::size_t>(b);
+    std::memcpy(dst + bi * dst_stride + lo, src + bi * src_stride + lo,
+                (hi - lo) * sizeof(float));
+  });
+}
 
 void conv2d(const float* input, const ConvGeometry& geom, int out_c,
             const float* weight, const float* bias, Act act, float* output,
@@ -129,22 +172,28 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
                             /*parallel=*/true, run_block);
 }
 
-void dwconv2d(const float* input, const ConvGeometry& geom,
-              const float* weight, const float* bias, Act act,
-              float* output) {
+void dwconv2d(const float* input, std::size_t in_stride, int batch,
+              const ConvGeometry& geom, const float* weight,
+              const float* bias, Act act, float* output,
+              std::size_t out_stride) {
   const int oh = geom.out_h();
   const int ow = geom.out_w();
   const std::size_t in_plane = static_cast<std::size_t>(geom.in_h) * geom.in_w;
   const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
-  for (int c = 0; c < geom.in_c; ++c) {
-    const float* src = input + static_cast<std::size_t>(c) * in_plane;
-    const float* w = weight + static_cast<std::size_t>(c) * geom.kernel_h *
-                                  geom.kernel_w;
-    float* dst = output + static_cast<std::size_t>(c) * out_plane;
-    const float b = bias != nullptr ? bias[c] : 0.0f;
+  const EpiAct epi_act = to_epilogue_act(act);
+  const std::size_t taps =
+      static_cast<std::size_t>(geom.kernel_h) * geom.kernel_w;
+  for_planes(batch, geom.in_c, out_plane * taps, [&](int b, int c) {
+    const float* src = input + static_cast<std::size_t>(b) * in_stride +
+                       static_cast<std::size_t>(c) * in_plane;
+    const float* w = weight + static_cast<std::size_t>(c) * taps;
+    float* dst = output + static_cast<std::size_t>(b) * out_stride +
+                 static_cast<std::size_t>(c) * out_plane;
+    const float bc = bias != nullptr ? bias[c] : 0.0f;
     for (int y = 0; y < oh; ++y) {
+      float* row = dst + static_cast<std::size_t>(y) * ow;
       for (int x = 0; x < ow; ++x) {
-        float acc = b;
+        float acc = bc;
         for (int ky = 0; ky < geom.kernel_h; ++ky) {
           const int sy = y * geom.stride - geom.pad + ky;
           if (sy < 0 || sy >= geom.in_h) continue;
@@ -155,10 +204,11 @@ void dwconv2d(const float* input, const ConvGeometry& geom,
                    src[static_cast<std::size_t>(sy) * geom.in_w + sx];
           }
         }
-        dst[static_cast<std::size_t>(y) * ow + x] = activate_scalar(act, acc);
+        row[x] = acc;
       }
+      detail::act_row(row, static_cast<std::size_t>(ow), epi_act);
     }
-  }
+  });
 }
 
 void deconv_phase_weights(const float* weight, int in_c, int out_c,
@@ -182,67 +232,99 @@ void deconv_phase_weights(const float* weight, int in_c, int out_c,
   }
 }
 
-void deconv_interleave(const float* conv, int out_c, int in_h, int in_w,
-                       float* output) {
+void deconv_interleave(const float* conv, std::size_t conv_stride,
+                       int batch, int out_c, int in_h, int in_w,
+                       float* output, std::size_t out_stride) {
   const std::size_t grid_w = static_cast<std::size_t>(in_w) + 1;
   const std::size_t grid = (static_cast<std::size_t>(in_h) + 1) * grid_w;
   const std::size_t out_w = static_cast<std::size_t>(in_w) * 2;
-  for (int o = 0; o < out_c; ++o) {
-    float* dst = output + static_cast<std::size_t>(o) * in_h * 2 * out_w;
+  const std::size_t out_plane = static_cast<std::size_t>(in_h) * 2 * out_w;
+  for_planes(batch, out_c, out_plane, [&](int b, int o) {
+    const float* img = conv + static_cast<std::size_t>(b) * conv_stride;
+    float* dst = output + static_cast<std::size_t>(b) * out_stride +
+                 static_cast<std::size_t>(o) * out_plane;
     for (int py = 0; py < 2; ++py) {
-      for (int px = 0; px < 2; ++px) {
-        const float* src =
-            conv + static_cast<std::size_t>((py * 2 + px) * out_c + o) * grid;
-        for (int y = 0; y < in_h; ++y) {
-          const float* s = src + static_cast<std::size_t>(y + py) * grid_w + px;
-          float* d = dst + static_cast<std::size_t>(2 * y + py) * out_w + px;
-          for (int x = 0; x < in_w; ++x) d[2 * x] = s[x];
-        }
+      // Output row 2y + py zips phase (py, 0) at column x with phase
+      // (py, 1) at column x + 1, both on grid row y + py.
+      const float* even =
+          img + static_cast<std::size_t>((py * 2) * out_c + o) * grid;
+      const float* odd =
+          img + static_cast<std::size_t>((py * 2 + 1) * out_c + o) * grid + 1;
+      for (int y = 0; y < in_h; ++y) {
+        const std::size_t g = static_cast<std::size_t>(y + py) * grid_w;
+        detail::interleave_row(
+            even + g, odd + g, static_cast<std::size_t>(in_w),
+            dst + static_cast<std::size_t>(2 * y + py) * out_w);
       }
     }
-  }
+  });
 }
 
-void maxpool2d(const float* input, const ConvGeometry& geom, float* output) {
+void maxpool2d(const float* input, std::size_t in_stride, int batch,
+               const ConvGeometry& geom, float* output,
+               std::size_t out_stride) {
   const int oh = geom.out_h();
   const int ow = geom.out_w();
+  const int k = geom.kernel_w;
+  const int s = geom.stride;
   const std::size_t in_plane = static_cast<std::size_t>(geom.in_h) * geom.in_w;
   const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
-  for (int c = 0; c < geom.in_c; ++c) {
-    const float* src = input + static_cast<std::size_t>(c) * in_plane;
-    float* dst = output + static_cast<std::size_t>(c) * out_plane;
+  // Output columns per pass: one pass's padded row must fit `padded`.
+  constexpr int kRowFloats = 2048;
+  OCB_CHECK_MSG(k >= 1 && k <= kRowFloats / 2 && s >= 1,
+                "maxpool2d kernel outside the row buffer");
+  const int seg_cols = (kRowFloats - k) / s + 1;
+  const float lowest = std::numeric_limits<float>::lowest();
+  const std::size_t taps =
+      static_cast<std::size_t>(geom.kernel_h) * geom.kernel_w;
+  for_planes(batch, geom.in_c, out_plane * taps, [&](int b, int c) {
+    const float* src = input + static_cast<std::size_t>(b) * in_stride +
+                       static_cast<std::size_t>(c) * in_plane;
+    float* dst = output + static_cast<std::size_t>(b) * out_stride +
+                 static_cast<std::size_t>(c) * out_plane;
+    float padded[kRowFloats];
+    // Separable max: per output row, the column max of its valid input
+    // rows lands in a row padded with lowest(), then the row max over
+    // each k-wide window. Padding taps then never win, and a window of
+    // -inf yields lowest(), as a max seeded with lowest() does.
     for (int y = 0; y < oh; ++y) {
-      for (int x = 0; x < ow; ++x) {
-        float best = std::numeric_limits<float>::lowest();
-        for (int ky = 0; ky < geom.kernel_h; ++ky) {
-          const int sy = y * geom.stride - geom.pad + ky;
-          if (sy < 0 || sy >= geom.in_h) continue;
-          for (int kx = 0; kx < geom.kernel_w; ++kx) {
-            const int sx = x * geom.stride - geom.pad + kx;
-            if (sx < 0 || sx >= geom.in_w) continue;
-            best = std::max(best,
-                            src[static_cast<std::size_t>(sy) * geom.in_w + sx]);
-          }
-        }
-        dst[static_cast<std::size_t>(y) * ow + x] = best;
+      const int y0 = std::max(0, y * s - geom.pad);
+      const int y1 = std::min(geom.in_h, y * s - geom.pad + geom.kernel_h);
+      for (int x0 = 0; x0 < ow; x0 += seg_cols) {
+        const int n = std::min(seg_cols, ow - x0);
+        const int lo = x0 * s - geom.pad;  // input column of padded[0]
+        const int len = s * (n - 1) + k;
+        const int v0 = std::max(0, lo);
+        const int v1 = std::min(geom.in_w, lo + len);
+        std::fill_n(padded, len, lowest);
+        for (int sy = y0; sy < y1 && v0 < v1; ++sy)
+          detail::max_row(padded + (v0 - lo),
+                          src + static_cast<std::size_t>(sy) * geom.in_w + v0,
+                          static_cast<std::size_t>(v1 - v0));
+        detail::pool_row(padded, k, s, n,
+                         dst + static_cast<std::size_t>(y) * ow + x0);
       }
     }
-  }
+  });
 }
 
-void upsample2x_nearest(const float* input, int c, int h, int w,
-                        float* output) {
-  const int oh = h * 2;
-  const int ow = w * 2;
-  for (int ch = 0; ch < c; ++ch) {
-    const float* src = input + static_cast<std::size_t>(ch) * h * w;
-    float* dst = output + static_cast<std::size_t>(ch) * oh * ow;
-    for (int y = 0; y < oh; ++y) {
-      const float* src_row = src + static_cast<std::size_t>(y / 2) * w;
-      float* dst_row = dst + static_cast<std::size_t>(y) * ow;
-      for (int x = 0; x < ow; ++x) dst_row[x] = src_row[x / 2];
+void upsample2x_nearest(const float* input, std::size_t in_stride, int batch,
+                        int c, int h, int w, float* output,
+                        std::size_t out_stride) {
+  const std::size_t in_plane = static_cast<std::size_t>(h) * w;
+  const std::size_t ow = static_cast<std::size_t>(w) * 2;
+  for_planes(batch, c, in_plane * 4, [&](int b, int ch) {
+    const float* src = input + static_cast<std::size_t>(b) * in_stride +
+                       static_cast<std::size_t>(ch) * in_plane;
+    float* dst = output + static_cast<std::size_t>(b) * out_stride +
+                 static_cast<std::size_t>(ch) * in_plane * 4;
+    for (int y = 0; y < h; ++y) {
+      float* row = dst + static_cast<std::size_t>(2 * y) * ow;
+      const float* s = src + static_cast<std::size_t>(y) * w;
+      detail::interleave_row(s, s, static_cast<std::size_t>(w), row);
+      std::memcpy(row + ow, row, ow * sizeof(float));
     }
-  }
+  });
 }
 
 void concat_channels(const std::vector<const float*>& srcs,
@@ -252,32 +334,42 @@ void concat_channels(const std::vector<const float*>& srcs,
   float* dst = output;
   for (std::size_t i = 0; i < srcs.size(); ++i) {
     const std::size_t count = static_cast<std::size_t>(channels[i]) * plane;
-    std::memcpy(dst, srcs[i], count * sizeof(float));
+    copy_images(srcs[i], count, 1, count, dst, count);
     dst += count;
   }
 }
 
 void add_elementwise(const float* a, const float* b, std::size_t n,
-                     float* output) {
-  for (std::size_t i = 0; i < n; ++i) output[i] = a[i] + b[i];
+                     float* output, Act act) {
+  const EpiAct epi_act = to_epilogue_act(act);
+  for_blocks(1, n, [&](int, std::size_t lo, std::size_t hi) {
+    detail::add_row(a + lo, b + lo, hi - lo, output + lo);
+    detail::act_row(output + lo, hi - lo, epi_act);
+  });
 }
 
-void slice_channels(const float* input, int c, int h, int w, int begin,
-                    int end, float* output) {
-  (void)c;
+void slice_channels(const float* input, std::size_t in_stride, int batch,
+                    int h, int w, int begin, int end, float* output,
+                    std::size_t out_stride) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
-  std::memcpy(output, input + static_cast<std::size_t>(begin) * plane,
-              static_cast<std::size_t>(end - begin) * plane * sizeof(float));
+  copy_images(input + static_cast<std::size_t>(begin) * plane, in_stride,
+              batch, static_cast<std::size_t>(end - begin) * plane, output,
+              out_stride);
 }
 
-void global_avg_pool(const float* input, int c, int h, int w, float* output) {
+void global_avg_pool(const float* input, std::size_t in_stride, int batch,
+                     int c, int h, int w, float* output,
+                     std::size_t out_stride) {
   const std::size_t plane = static_cast<std::size_t>(h) * w;
-  for (int ch = 0; ch < c; ++ch) {
-    const float* src = input + static_cast<std::size_t>(ch) * plane;
+  for_planes(batch, c, plane, [&](int b, int ch) {
+    const float* src = input + static_cast<std::size_t>(b) * in_stride +
+                       static_cast<std::size_t>(ch) * plane;
     double acc = 0.0;
     for (std::size_t i = 0; i < plane; ++i) acc += src[i];
-    output[ch] = static_cast<float>(acc / static_cast<double>(plane));
-  }
+    output[static_cast<std::size_t>(b) * out_stride +
+           static_cast<std::size_t>(ch)] =
+        static_cast<float>(acc / static_cast<double>(plane));
+  });
 }
 
 void linear(const float* input, std::size_t in_features, int out_features,
@@ -286,7 +378,7 @@ void linear(const float* input, std::size_t in_features, int out_features,
     const float* w = weight + static_cast<std::size_t>(o) * in_features;
     float acc = bias != nullptr ? bias[o] : 0.0f;
     for (std::size_t i = 0; i < in_features; ++i) acc += w[i] * input[i];
-    output[o] = activate_scalar(act, acc);
+    output[o] = apply_epi_act(to_epilogue_act(act), acc);
   }
 }
 

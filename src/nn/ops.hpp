@@ -3,8 +3,8 @@
 // Buffers are contiguous CHW float32 images; the Engine drives these
 // per node, batched ops taking `batch` images a fixed stride apart.
 // Convolution lowers onto the packed GEMM with the bias + activation
-// epilogue fused into its write-back; the other ops are direct loops
-// (they are bandwidth-bound and simple).
+// epilogue fused into its write-back; the other ops are direct row loops
+// spread over the pool (they are bandwidth-bound and simple).
 //
 // The engine's convs run on weight panels it packed at load time: the
 // im2col stripes (conv2d_fused, any weight storage), the direct 1×1
@@ -124,10 +124,23 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
                      Act act, float* output, std::size_t out_stride,
                      ConvScratch& scratch, EpiMode mode = EpiMode::kStore);
 
+// The non-GEMM ops below take `batch` images `in_stride` / `out_stride`
+// floats apart and split their image × channel planes over the global
+// pool (the copies split into blocks), with a work floor so that small
+// layers stay on the calling thread. Their row loops are the AVX2 or
+// scalar kernels of nn/ops_kernels.hpp; every op but the activations is
+// exact, so results do not depend on the path or the split.
+
 /// Depthwise conv: one k×k filter per channel. `weight` is [c × k·k].
 /// Bias and activation are fused into the output loop.
-void dwconv2d(const float* input, const ConvGeometry& geom,
-              const float* weight, const float* bias, Act act, float* output);
+void dwconv2d(const float* input, std::size_t in_stride, int batch,
+              const ConvGeometry& geom, const float* weight,
+              const float* bias, Act act, float* output,
+              std::size_t out_stride);
+
+/// dst image b = the first `n` floats of src image b, for b < batch.
+void copy_images(const float* src, std::size_t src_stride, int batch,
+                 std::size_t n, float* dst, std::size_t dst_stride);
 
 // Transposed conv (kDeconv: kernel 4, stride 2, pad 1 — exact 2×
 // upsampling) as a sub-pixel conv (ESPCN, arXiv:1609.05158). Over an
@@ -144,31 +157,42 @@ void dwconv2d(const float* input, const ConvGeometry& geom,
 void deconv_phase_weights(const float* weight, int in_c, int out_c,
                           float* phase);
 
-/// Interleaves one image of the lowered conv's [4·out_c × (H+1)·(W+1)]
+/// Interleaves each image of the lowered conv's [4·out_c × (H+1)·(W+1)]
 /// result into the deconv's [out_c × 2H × 2W] output. Bias and
 /// activation belong to the conv's epilogue (the bias once per phase),
 /// so this is a pure copy.
-void deconv_interleave(const float* conv, int out_c, int in_h, int in_w,
-                       float* output);
+void deconv_interleave(const float* conv, std::size_t conv_stride,
+                       int batch, int out_c, int in_h, int in_w,
+                       float* output, std::size_t out_stride);
 
-void maxpool2d(const float* input, const ConvGeometry& geom, float* output);
+/// Max pool; windows skip padding, and every output is at least
+/// numeric_limits<float>::lowest().
+void maxpool2d(const float* input, std::size_t in_stride, int batch,
+               const ConvGeometry& geom, float* output,
+               std::size_t out_stride);
 
-void upsample2x_nearest(const float* input, int c, int h, int w,
-                        float* output);
+void upsample2x_nearest(const float* input, std::size_t in_stride, int batch,
+                        int c, int h, int w, float* output,
+                        std::size_t out_stride);
 
 /// Concatenate along channels; `srcs[i]` has `channels[i]` channels and
-/// common spatial size h×w.
+/// common spatial size h×w. One image.
 void concat_channels(const std::vector<const float*>& srcs,
                      const std::vector<int>& channels, int h, int w,
                      float* output);
 
+/// output = act(a + b), in one pass.
 void add_elementwise(const float* a, const float* b, std::size_t n,
-                     float* output);
+                     float* output, Act act = Act::kNone);
 
-void slice_channels(const float* input, int c, int h, int w, int begin,
-                    int end, float* output);
+/// Channels [begin, end) of each h×w image.
+void slice_channels(const float* input, std::size_t in_stride, int batch,
+                    int h, int w, int begin, int end, float* output,
+                    std::size_t out_stride);
 
-void global_avg_pool(const float* input, int c, int h, int w, float* output);
+void global_avg_pool(const float* input, std::size_t in_stride, int batch,
+                     int c, int h, int w, float* output,
+                     std::size_t out_stride);
 
 /// output[out] = act(W · flatten(input) + b); weight is [out × in].
 void linear(const float* input, std::size_t in_features, int out_features,

@@ -257,7 +257,7 @@ double est_winograd_ms(const ConvPlanKey& key,
   // executor, so the per-block work overlaps `lanes` ways.
   const std::size_t blocks =
       winograd::block_count(geom, key.out_c, key.batch);
-  const std::size_t executors = ThreadPool::global().size() + 1;
+  const std::size_t executors = ThreadPool::global().executors();
   const double lanes = blocks >= executors
                            ? static_cast<double>(fused_panel_buffers(blocks))
                            : 1.0;

@@ -29,7 +29,7 @@ struct ThreadPool::RangeJob {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    threads = default_workers(std::thread::hardware_concurrency());
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
@@ -119,15 +119,15 @@ void ThreadPool::for_range_impl(std::size_t begin, std::size_t end,
   grain = std::max<std::size_t>(1, grain);
   const std::size_t n = end - begin;
 
-  // Small ranges or a single worker: run inline, no synchronisation.
-  // The floor is pool-size-aware: a range with fewer grains than
-  // executors (workers plus the caller) cannot hand every thread a full
-  // chunk, and on such jobs — packed-GEMM panel loops with grain 1 on
-  // small shapes — the wake + claim round-trip costs more than the
-  // leftover parallelism wins.
-  const std::size_t executors = workers_.size() + 1;
+  // Small ranges run inline, no synchronisation. The floor is
+  // pool-size-aware: a range with fewer grains than executors cannot
+  // hand every thread a full chunk, and on such jobs — packed-GEMM
+  // panel loops with grain 1 on small shapes — the wake + claim
+  // round-trip costs more than the leftover parallelism wins. A
+  // one-worker pool still splits: with the caller it is two executors.
+  const std::size_t executors = this->executors();
   const std::size_t grains = (n + grain - 1) / grain;
-  if (workers_.size() <= 1 || n <= grain || grains < executors) {
+  if (n <= grain || grains < executors) {
     fn(ctx, begin, end);
     return;
   }

@@ -3,9 +3,10 @@
 // The suite's data-parallel kernels (GEMM, convolution, rendering) are
 // expressed as range tasks submitted to this pool. Following the
 // hpc-parallel guides: parallelism is explicit, ownership is RAII, and
-// correctness does not depend on the worker count — the container this
-// reproduction runs in may expose a single core, so every algorithm is
-// also exercised at threads == 1.
+// correctness does not depend on the worker count, so every algorithm is
+// also exercised at threads == 1. The global pool starts one worker
+// fewer than the CPUs: a for_range caller runs chunks too, so workers
+// plus the caller fill the cores without oversubscribing them.
 //
 // Two execution paths:
 //  * submit() — long-lived tasks (streaming stage workers, server
@@ -35,7 +36,7 @@ namespace ocb {
 
 class ThreadPool {
  public:
-  /// `threads == 0` selects hardware_concurrency() (at least 1).
+  /// `threads == 0` selects default_workers(hardware_concurrency()).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -43,6 +44,17 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const noexcept { return workers_.size(); }
+
+  /// Threads that run a for_range: the workers plus the calling thread.
+  /// Kernels size their waves of blocks and stripes to this count.
+  std::size_t executors() const noexcept { return workers_.size() + 1; }
+
+  /// Workers for a host with `hw` CPUs (hardware_concurrency(), which
+  /// reports 0 when unknown): hw − 1, so workers plus the caller equal
+  /// the CPUs, and never below one, since submit() needs a thread.
+  static constexpr std::size_t default_workers(unsigned hw) noexcept {
+    return hw > 2 ? static_cast<std::size_t>(hw) - 1 : 1;
+  }
 
   /// Total range chunks claimed through the pool since construction
   /// (inline fallbacks dispatch none). Observability hook for the

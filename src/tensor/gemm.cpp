@@ -413,7 +413,7 @@ std::size_t fused_panel_cols(std::size_t k) noexcept {
 }
 
 std::size_t fused_panel_buffers(std::size_t stripes) noexcept {
-  const std::size_t executors = ThreadPool::global().size() + 1;
+  const std::size_t executors = ThreadPool::global().executors();
   return std::max<std::size_t>(
       1, std::min({stripes, executors, std::size_t{16}}));
 }

@@ -12,6 +12,7 @@
 // GEMM write-back so the conv hot path makes a single pass over C.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -196,12 +197,13 @@ float fast_sigmoid(float x) noexcept;
 float fast_silu(float x) noexcept;
 
 /// Scalar epilogue activation, shared by the scalar kernels and the
-/// SIMD tails (FP32 and INT8 alike).
+/// SIMD tails (FP32 and INT8 alike). Branch-free, like apply_act256.
 inline float apply_epi_act(EpiAct act, float v) noexcept {
   switch (act) {
     case EpiAct::kNone: return v;
-    case EpiAct::kRelu: return v < 0.0f ? 0.0f : v;
-    case EpiAct::kLeakyRelu: return v < 0.0f ? kLeakySlope * v : v;
+    case EpiAct::kRelu: return std::max(v, 0.0f);
+    // max(v, slope·v) is the piecewise form for any slope in (0, 1).
+    case EpiAct::kLeakyRelu: return std::max(v, kLeakySlope * v);
     case EpiAct::kSilu: return fast_silu(v);
     case EpiAct::kSigmoid: return fast_sigmoid(v);
   }

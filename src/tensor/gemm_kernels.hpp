@@ -82,7 +82,7 @@ template <typename T, typename RunStripe>
 void stripe_waves(std::size_t stripes, std::size_t bufs, T* slots,
                   std::size_t slot_elems, bool parallel,
                   RunStripe&& run_stripe) {
-  const std::size_t executors = ThreadPool::global().size() + 1;
+  const std::size_t executors = ThreadPool::global().executors();
   if (parallel && bufs > 1 && stripes >= executors) {
     for (std::size_t s0 = 0; s0 < stripes; s0 += bufs) {
       const std::size_t wave = std::min(bufs, stripes - s0);

@@ -2,36 +2,32 @@
 //
 // Stride-2 convolutions (every YOLO downsample layer and the ResNet
 // stem) gather every other input float; done scalar that walk is the
-// dominant cost of the on-the-fly packer. The deinterleave below turns
-// two 8-float loads into one 8-float store (shuffle even lanes of both
-// halves, then repair the lane order), an ~4x faster gather. Compiled
+// dominant cost of the on-the-fly packer. The deinterleave
+// (load_stride2, tensor/simd_math.hpp) turns two 8-float loads into one
+// 8-float store, an ~4x faster gather. Compiled
 // with -mavx2 when available; the scalar fallback keeps the TU valid on
 // baseline builds, and the caller's dispatch mirrors gemm/winograd.
 #include "tensor/im2col.hpp"
 #include "tensor/simd.hpp"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 #include <immintrin.h>
+
+#include "tensor/simd_math.hpp"
 #endif
 
 namespace ocb::detail {
 
 void gather_stride2(const float* src, int n, float* out) noexcept {
   int i = 0;
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
   if (simd::active() == simd::Level::kAvx2) {
-    const __m256i fix_lanes = _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7);
     // Strictly i + 8 < n: the second load touches src[2i + 15], one
     // past the last gathered element src[2(n-1)], which may be the
     // final float of the image — the scalar tail covers the last
     // vector-width so no load crosses the gathered range.
-    for (; i + 8 < n; i += 8) {
-      const __m256 lo = _mm256_loadu_ps(src + 2 * i);
-      const __m256 hi = _mm256_loadu_ps(src + 2 * i + 8);
-      // Even lanes of (lo, hi) per 128-bit half: [a0 a2 b0 b2 | a4 a6 b4 b6].
-      const __m256 even = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
-      _mm256_storeu_ps(out + i, _mm256_permutevar8x32_ps(even, fix_lanes));
-    }
+    for (; i + 8 < n; i += 8)
+      _mm256_storeu_ps(out + i, load_stride2(src + 2 * i));
   }
 #endif
   for (; i < n; ++i) out[i] = src[2 * i];

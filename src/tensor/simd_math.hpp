@@ -1,10 +1,11 @@
 // AVX2 vector math shared by the SIMD translation units.
 //
-// Only gemm_avx2.cpp and qgemm_avx2.cpp include this header; both are
-// compiled with -mavx2 -mfma, and the content is guarded so a baseline
-// build of those TUs (non-x86, old toolchain) sees nothing. Keeping the
-// activation vectors here means the FP32 epilogue and the INT8
-// requantize epilogue produce identical activation numerics.
+// Only *_avx2.cpp TUs include this header (the GEMM epilogues and the
+// non-GEMM ops in nn/ops_avx2.cpp); they are compiled with -mavx2
+// -mfma, and the content is guarded so a baseline build of those TUs
+// (non-x86, old toolchain) sees nothing. Keeping the activation vectors
+// here means the FP32 epilogue, the INT8 requantize epilogue and a
+// standalone activation produce identical activation numerics.
 #pragma once
 
 #if defined(__AVX2__) && defined(__FMA__)
@@ -46,6 +47,18 @@ inline __m256 exp256(__m256 x) noexcept {
   __m256i e = _mm256_cvtps_epi32(fi);
   e = _mm256_slli_epi32(_mm256_add_epi32(e, _mm256_set1_epi32(127)), 23);
   return _mm256_mul_ps(p, _mm256_castsi256_ps(e));
+}
+
+/// p[0], p[2], ..., p[14] — a stride-2 gather as one deinterleave of
+/// two 8-float loads (shuffle the even lanes of both halves, then
+/// repair the lane order). Reads p[0..15].
+inline __m256 load_stride2(const float* p) noexcept {
+  const __m256 lo = _mm256_loadu_ps(p);
+  const __m256 hi = _mm256_loadu_ps(p + 8);
+  // Even lanes of (lo, hi) per 128-bit half: [a0 a2 b0 b2 | a4 a6 b4 b6].
+  const __m256 even = _mm256_shuffle_ps(lo, hi, _MM_SHUFFLE(2, 0, 2, 0));
+  return _mm256_permutevar8x32_ps(
+      even, _mm256_setr_epi32(0, 1, 4, 5, 2, 3, 6, 7));
 }
 
 inline __m256 sigmoid256(__m256 x) noexcept {

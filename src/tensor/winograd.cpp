@@ -73,7 +73,7 @@ std::size_t block_count(const ConvGeometry& geom, int out_c,
   if (!u_cached) cols = std::max(cols, kBlockMinCols);
   const std::size_t bh = std::clamp<std::size_t>(cols / tw, 1, rows);
   std::size_t blocks = (rows + bh - 1) / bh;
-  const std::size_t executors = ThreadPool::global().size() + 1;
+  const std::size_t executors = ThreadPool::global().executors();
   if (u_cached && rows >= executors) blocks = std::max(blocks, executors);
   if (blocks >= executors) {
     // Waves run fused_panel_buffers(blocks) blocks at a time; a last

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <tuple>
+
 #include "detect/letterbox.hpp"
 #include "detect/nms.hpp"
 #include "image/draw.hpp"
+#include "image/transform.hpp"
 
 namespace ocb {
 namespace {
@@ -163,6 +169,40 @@ TEST(Letterbox, TallInputPadsHorizontally) {
   EXPECT_FLOAT_EQ(info.scale, 0.5f);
   EXPECT_GT(info.pad_x, 0.0f);
   EXPECT_FLOAT_EQ(info.pad_y, 0.0f);
+}
+
+TEST(Letterbox, RowCopyMatchesPixelLoopBitExact) {
+  // The canvas rows are memcpy'd over the pool; the oracle is the
+  // per-pixel at() loop they replaced, on a resize big enough to split.
+  for (const auto& [w, h, size] : {std::tuple{640, 480, 320},
+                                   std::tuple{90, 300, 128},
+                                   std::tuple{7, 5, 9}}) {
+    Image src(w, h, 3);
+    for (int c = 0; c < 3; ++c)
+      for (int y = 0; y < h; ++y)
+        for (int x = 0; x < w; ++x)
+          src.at(c, y, x) = static_cast<float>((x * 7 + y * 13 + c) % 255) /
+                            255.0f;
+    LetterboxInfo info;
+    const Image got = letterbox(src, size, info);
+
+    const int new_w = std::max(1, static_cast<int>(std::round(w * info.scale)));
+    const int new_h = std::max(1, static_cast<int>(std::round(h * info.scale)));
+    const Image resized = resize_bilinear(src, new_w, new_h);
+    Image want(size, size, 3, 114.0f / 255.0f);
+    const int off_x = static_cast<int>(info.pad_x);
+    const int off_y = static_cast<int>(info.pad_y);
+    for (int c = 0; c < 3; ++c)
+      for (int y = 0; y < new_h; ++y)
+        for (int x = 0; x < new_w; ++x)
+          want.at(c, y + off_y, x + off_x) = resized.at(c, y, x);
+    ASSERT_EQ(got.width(), size);
+    ASSERT_EQ(got.height(), size);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          sizeof(float) * 3 * size * size),
+              0)
+        << w << "x" << h << " -> " << size;
+  }
 }
 
 TEST(Letterbox, RejectsBadSize) {

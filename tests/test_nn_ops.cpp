@@ -5,12 +5,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "nn/engine.hpp"
 #include "nn/prune.hpp"
 #include "tensor/sgemm_sparse.hpp"
+#include "tensor/simd.hpp"
 
 namespace ocb::nn {
 namespace {
@@ -91,7 +94,8 @@ TEST(DwConv2d, PerChannelFilters) {
   const float weight[2] = {3.0f, 5.0f};  // one 1×1 filter per channel
   const float bias[2] = {0.0f, 1.0f};
   std::vector<float> output(8);
-  dwconv2d(input.data(), g, weight, bias, Act::kNone, output.data());
+  dwconv2d(input.data(), input.size(), 1, g, weight, bias, Act::kNone,
+           output.data(), output.size());
   EXPECT_FLOAT_EQ(output[0], 3.0f);
   EXPECT_FLOAT_EQ(output[4], 11.0f);
 }
@@ -300,7 +304,7 @@ TEST(MaxPool, PicksMaximum) {
   const ConvGeometry g{1, 2, 2, 2, 2, 2, 0};
   std::vector<float> input{1, 7, 3, 5};
   std::vector<float> output(1);
-  maxpool2d(input.data(), g, output.data());
+  maxpool2d(input.data(), input.size(), 1, g, output.data(), output.size());
   EXPECT_FLOAT_EQ(output[0], 7.0f);
 }
 
@@ -309,7 +313,7 @@ TEST(MaxPool, SamePaddingKeepsSize) {
   std::vector<float> input(16, 0.0f);
   input[5] = 3.0f;
   std::vector<float> output(16);
-  maxpool2d(input.data(), g, output.data());
+  maxpool2d(input.data(), input.size(), 1, g, output.data(), output.size());
   // The 5×5 window centred anywhere within distance 2 of (1,1) sees 3.
   EXPECT_FLOAT_EQ(output[0], 3.0f);
   EXPECT_FLOAT_EQ(output[15], 3.0f);
@@ -318,7 +322,8 @@ TEST(MaxPool, SamePaddingKeepsSize) {
 TEST(Upsample, NearestReplicates) {
   std::vector<float> input{1, 2, 3, 4};  // 2×2
   std::vector<float> output(16);
-  upsample2x_nearest(input.data(), 1, 2, 2, output.data());
+  upsample2x_nearest(input.data(), input.size(), 1, 1, 2, 2, output.data(),
+                     output.size());
   EXPECT_FLOAT_EQ(output[0], 1.0f);
   EXPECT_FLOAT_EQ(output[1], 1.0f);
   EXPECT_FLOAT_EQ(output[2], 2.0f);
@@ -347,7 +352,8 @@ TEST(SliceChannels, ExtractsMiddle) {
   std::vector<float> input(12);  // 3 channels 2×2
   for (std::size_t i = 0; i < 12; ++i) input[i] = static_cast<float>(i);
   std::vector<float> out(4);
-  slice_channels(input.data(), 3, 2, 2, 1, 2, out.data());
+  slice_channels(input.data(), input.size(), 1, 2, 2, 1, 2, out.data(),
+                 out.size());
   EXPECT_FLOAT_EQ(out[0], 4.0f);
   EXPECT_FLOAT_EQ(out[3], 7.0f);
 }
@@ -355,7 +361,8 @@ TEST(SliceChannels, ExtractsMiddle) {
 TEST(GlobalAvgPool, AveragesPerChannel) {
   std::vector<float> input{1, 2, 3, 4, 10, 10, 10, 10};
   std::vector<float> out(2);
-  global_avg_pool(input.data(), 2, 2, 2, out.data());
+  global_avg_pool(input.data(), input.size(), 1, 2, 2, 2, out.data(),
+                  out.size());
   EXPECT_FLOAT_EQ(out[0], 2.5f);
   EXPECT_FLOAT_EQ(out[1], 10.0f);
 }
@@ -386,6 +393,407 @@ TEST(Conv2d, StridedAgainstManualComputation) {
   EXPECT_FLOAT_EQ(output[1], 2.0f + 7.0f);
   EXPECT_FLOAT_EQ(output[2], 8.0f + 13.0f);
   EXPECT_FLOAT_EQ(output[3], 10.0f + 15.0f);
+}
+
+
+// --- pooled non-GEMM ops against their single-thread scalar loops ----------
+//
+// Each oracle below is the op's scalar loop as it stood before the ops
+// were split over the pool and given AVX2 rows, one image per call.
+// Every op but the activations is exact, so the rewritten op must match
+// bit for bit: on both SIMD paths, at widths below and off 8, at h = 1,
+// across images `kPad` floats apart (the gaps must stay untouched), and
+// with -inf and near-lowest() inputs.
+
+constexpr std::size_t kPad = 5;
+constexpr float kSentinel = 12345.0f;
+
+void oracle_maxpool(const float* input, const ConvGeometry& geom,
+                    float* output) {
+  const int oh = geom.out_h();
+  const int ow = geom.out_w();
+  const std::size_t in_plane = static_cast<std::size_t>(geom.in_h) * geom.in_w;
+  const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
+  for (int c = 0; c < geom.in_c; ++c) {
+    const float* src = input + static_cast<std::size_t>(c) * in_plane;
+    float* dst = output + static_cast<std::size_t>(c) * out_plane;
+    for (int y = 0; y < oh; ++y) {
+      for (int x = 0; x < ow; ++x) {
+        float best = std::numeric_limits<float>::lowest();
+        for (int ky = 0; ky < geom.kernel_h; ++ky) {
+          const int sy = y * geom.stride - geom.pad + ky;
+          if (sy < 0 || sy >= geom.in_h) continue;
+          for (int kx = 0; kx < geom.kernel_w; ++kx) {
+            const int sx = x * geom.stride - geom.pad + kx;
+            if (sx < 0 || sx >= geom.in_w) continue;
+            best = std::max(best,
+                            src[static_cast<std::size_t>(sy) * geom.in_w + sx]);
+          }
+        }
+        dst[static_cast<std::size_t>(y) * ow + x] = best;
+      }
+    }
+  }
+}
+
+void oracle_upsample(const float* input, int c, int h, int w, float* output) {
+  const int oh = h * 2;
+  const int ow = w * 2;
+  for (int ch = 0; ch < c; ++ch) {
+    const float* src = input + static_cast<std::size_t>(ch) * h * w;
+    float* dst = output + static_cast<std::size_t>(ch) * oh * ow;
+    for (int y = 0; y < oh; ++y) {
+      const float* src_row = src + static_cast<std::size_t>(y / 2) * w;
+      float* dst_row = dst + static_cast<std::size_t>(y) * ow;
+      for (int x = 0; x < ow; ++x) dst_row[x] = src_row[x / 2];
+    }
+  }
+}
+
+void oracle_deconv_interleave(const float* conv, int out_c, int in_h,
+                              int in_w, float* output) {
+  const std::size_t grid_w = static_cast<std::size_t>(in_w) + 1;
+  const std::size_t grid = (static_cast<std::size_t>(in_h) + 1) * grid_w;
+  const std::size_t out_w = static_cast<std::size_t>(in_w) * 2;
+  for (int o = 0; o < out_c; ++o) {
+    float* dst = output + static_cast<std::size_t>(o) * in_h * 2 * out_w;
+    for (int py = 0; py < 2; ++py) {
+      for (int px = 0; px < 2; ++px) {
+        const float* src =
+            conv + static_cast<std::size_t>((py * 2 + px) * out_c + o) * grid;
+        for (int y = 0; y < in_h; ++y) {
+          const float* sp =
+              src + static_cast<std::size_t>(y + py) * grid_w + px;
+          float* d = dst + static_cast<std::size_t>(2 * y + py) * out_w + px;
+          for (int x = 0; x < in_w; ++x) d[2 * x] = sp[x];
+        }
+      }
+    }
+  }
+}
+
+float oracle_act(Act act, float v) {
+  switch (act) {
+    case Act::kNone: return v;
+    case Act::kRelu: return v < 0.0f ? 0.0f : v;
+    case Act::kLeakyRelu: return v < 0.0f ? kLeakySlope * v : v;
+    case Act::kSilu: return v / (1.0f + std::exp(-v));
+    case Act::kSigmoid: return 1.0f / (1.0f + std::exp(-v));
+  }
+  return v;
+}
+
+void oracle_dwconv(const float* input, const ConvGeometry& geom,
+                   const float* weight, const float* bias, Act act,
+                   float* output) {
+  const int oh = geom.out_h();
+  const int ow = geom.out_w();
+  const std::size_t in_plane = static_cast<std::size_t>(geom.in_h) * geom.in_w;
+  const std::size_t out_plane = static_cast<std::size_t>(oh) * ow;
+  for (int c = 0; c < geom.in_c; ++c) {
+    const float* src = input + static_cast<std::size_t>(c) * in_plane;
+    const float* w = weight + static_cast<std::size_t>(c) * geom.kernel_h *
+                                  geom.kernel_w;
+    float* dst = output + static_cast<std::size_t>(c) * out_plane;
+    const float b = bias != nullptr ? bias[c] : 0.0f;
+    for (int y = 0; y < oh; ++y) {
+      for (int x = 0; x < ow; ++x) {
+        float acc = b;
+        for (int ky = 0; ky < geom.kernel_h; ++ky) {
+          const int sy = y * geom.stride - geom.pad + ky;
+          if (sy < 0 || sy >= geom.in_h) continue;
+          for (int kx = 0; kx < geom.kernel_w; ++kx) {
+            const int sx = x * geom.stride - geom.pad + kx;
+            if (sx < 0 || sx >= geom.in_w) continue;
+            acc += w[ky * geom.kernel_w + kx] *
+                   src[static_cast<std::size_t>(sy) * geom.in_w + sx];
+          }
+        }
+        dst[static_cast<std::size_t>(y) * ow + x] = oracle_act(act, acc);
+      }
+    }
+  }
+}
+
+/// `batch` images of `chw` random floats, kPad floats apart; the gaps
+/// hold kSentinel. With `hostile`, a few values are -inf or near
+/// lowest(), and image 0's channel 0 is all -inf.
+std::vector<float> random_images(int batch, std::size_t chw,
+                                 std::size_t plane, Rng& rng,
+                                 bool hostile = false) {
+  std::vector<float> v(static_cast<std::size_t>(batch) * (chw + kPad),
+                       kSentinel);
+  const float lowest = std::numeric_limits<float>::lowest();
+  for (int b = 0; b < batch; ++b) {
+    float* img = v.data() + static_cast<std::size_t>(b) * (chw + kPad);
+    for (std::size_t i = 0; i < chw; ++i) {
+      img[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      const double r = rng.uniform();
+      if (hostile && r < 0.05) img[i] = -std::numeric_limits<float>::infinity();
+      if (hostile && r > 0.95) img[i] = lowest * 0.999f;
+    }
+    if (hostile && b == 0)
+      std::fill_n(img, plane, -std::numeric_limits<float>::infinity());
+  }
+  return v;
+}
+
+/// Bitwise equality, gaps included.
+void expect_bits_eq(const std::vector<float>& got,
+                    const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    std::uint32_t a = 0, b = 0;
+    std::memcpy(&a, &got[i], sizeof(a));
+    std::memcpy(&b, &want[i], sizeof(b));
+    ASSERT_EQ(a, b) << "float " << i << ": got " << got[i] << ", want "
+                    << want[i];
+  }
+}
+
+/// Runs `body` on the AVX2 path (where the host has it) and the scalar.
+template <typename Body>
+void on_both_paths(Body&& body) {
+  for (const bool simd_on : {true, false}) {
+    SCOPED_TRACE(simd_on ? "simd" : "scalar");
+    simd::set_simd_enabled(simd_on);
+    body();
+  }
+  simd::set_simd_enabled(true);
+}
+
+struct PoolCase {
+  int k, s, p;
+};
+
+struct MapShape {
+  int c, h, w;
+};
+
+// Widths under 8, off 8 and past one maxpool row pass (2048 floats),
+// h = 1, and maps big enough to split over the pool.
+constexpr MapShape kMapShapes[] = {{3, 1, 1},  {2, 1, 7},   {3, 5, 3},
+                                   {2, 9, 13}, {4, 6, 16},  {3, 7, 17},
+                                   {2, 3, 2100}, {24, 40, 72}};
+
+TEST(MaxPool, PooledMatchesScalarLoopBitExact) {
+  const PoolCase cases[] = {{3, 2, 1}, {5, 1, 2}, {2, 2, 0}};
+  for (const PoolCase& pc : cases) {
+    for (const MapShape& m : kMapShapes) {
+      const ConvGeometry g{m.c, m.h, m.w, pc.k, pc.k, pc.s, pc.p};
+      if (g.out_h() < 1 || g.out_w() < 1) continue;
+      for (const int batch : {1, 3}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "k" << pc.k << " s" << pc.s << " p" << pc.p << " "
+                     << m.c << "x" << m.h << "x" << m.w << " b" << batch);
+        Rng rng(static_cast<std::uint64_t>(m.w * 31 + pc.k));
+        const std::size_t in_chw = static_cast<std::size_t>(m.c) * m.h * m.w;
+        const std::size_t out_chw =
+            static_cast<std::size_t>(m.c) * g.out_h() * g.out_w();
+        const auto in = random_images(
+            batch, in_chw, static_cast<std::size_t>(m.h) * m.w, rng, true);
+        std::vector<float> want(static_cast<std::size_t>(batch) *
+                                    (out_chw + kPad),
+                                kSentinel);
+        for (int b = 0; b < batch; ++b)
+          oracle_maxpool(in.data() + b * (in_chw + kPad), g,
+                         want.data() + b * (out_chw + kPad));
+        on_both_paths([&] {
+          std::vector<float> got(want.size(), kSentinel);
+          maxpool2d(in.data(), in_chw + kPad, batch, g, got.data(),
+                    out_chw + kPad);
+          expect_bits_eq(got, want);
+        });
+      }
+    }
+  }
+}
+
+TEST(Upsample, PooledMatchesScalarLoopBitExact) {
+  for (const MapShape& m : kMapShapes) {
+    for (const int batch : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << m.c << "x" << m.h << "x" << m.w << " b" << batch);
+      Rng rng(static_cast<std::uint64_t>(m.w));
+      const std::size_t in_chw = static_cast<std::size_t>(m.c) * m.h * m.w;
+      const std::size_t out_chw = in_chw * 4;
+      const auto in = random_images(batch, in_chw, 1, rng, true);
+      std::vector<float> want(batch * (out_chw + kPad), kSentinel);
+      for (int b = 0; b < batch; ++b)
+        oracle_upsample(in.data() + b * (in_chw + kPad), m.c, m.h, m.w,
+                        want.data() + b * (out_chw + kPad));
+      on_both_paths([&] {
+        std::vector<float> got(want.size(), kSentinel);
+        upsample2x_nearest(in.data(), in_chw + kPad, batch, m.c, m.h, m.w,
+                           got.data(), out_chw + kPad);
+        expect_bits_eq(got, want);
+      });
+    }
+  }
+}
+
+TEST(Deconv, PooledInterleaveMatchesScalarLoopBitExact) {
+  for (const MapShape& m : kMapShapes) {
+    for (const int batch : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << m.c << "x" << m.h << "x" << m.w << " b" << batch);
+      Rng rng(static_cast<std::uint64_t>(m.h * 7 + m.w));
+      const std::size_t conv_chw =
+          static_cast<std::size_t>(4 * m.c) * (m.h + 1) * (m.w + 1);
+      const std::size_t out_chw = static_cast<std::size_t>(m.c) * m.h * m.w * 4;
+      const auto conv = random_images(batch, conv_chw, 1, rng);
+      std::vector<float> want(batch * (out_chw + kPad), kSentinel);
+      for (int b = 0; b < batch; ++b)
+        oracle_deconv_interleave(conv.data() + b * (conv_chw + kPad), m.c,
+                                 m.h, m.w, want.data() + b * (out_chw + kPad));
+      on_both_paths([&] {
+        std::vector<float> got(want.size(), kSentinel);
+        deconv_interleave(conv.data(), conv_chw + kPad, batch, m.c, m.h, m.w,
+                          got.data(), out_chw + kPad);
+        expect_bits_eq(got, want);
+      });
+    }
+  }
+}
+
+TEST(DwConv2d, PooledMatchesScalarLoop) {
+  const PoolCase cases[] = {{3, 1, 1}, {3, 2, 1}, {5, 1, 2}};
+  for (const PoolCase& pc : cases) {
+    for (const MapShape& m : kMapShapes) {
+      if (m.w > 1000) continue;  // the row-pass split is maxpool's alone
+      const ConvGeometry g{m.c, m.h, m.w, pc.k, pc.k, pc.s, pc.p};
+      for (const Act act : {Act::kNone, Act::kRelu, Act::kLeakyRelu,
+                            Act::kSilu, Act::kSigmoid}) {
+        for (const int batch : {1, 3}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "k" << pc.k << " s" << pc.s << " " << m.c << "x"
+                       << m.h << "x" << m.w << " b" << batch
+                       << " act=" << static_cast<int>(act));
+          Rng rng(static_cast<std::uint64_t>(m.c * 13 + m.w));
+          const std::size_t in_chw = static_cast<std::size_t>(m.c) * m.h * m.w;
+          const std::size_t out_chw =
+              static_cast<std::size_t>(m.c) * g.out_h() * g.out_w();
+          const auto in = random_images(batch, in_chw, 1, rng);
+          std::vector<float> w(static_cast<std::size_t>(m.c) * pc.k * pc.k);
+          std::vector<float> bias(static_cast<std::size_t>(m.c));
+          for (float& x : w) x = static_cast<float>(rng.uniform(-0.5, 0.5));
+          for (float& x : bias) x = static_cast<float>(rng.uniform(-0.5, 0.5));
+          std::vector<float> want(batch * (out_chw + kPad), kSentinel);
+          for (int b = 0; b < batch; ++b)
+            oracle_dwconv(in.data() + b * (in_chw + kPad), g, w.data(),
+                          bias.data(), act, want.data() + b * (out_chw + kPad));
+          on_both_paths([&] {
+            std::vector<float> got(want.size(), kSentinel);
+            dwconv2d(in.data(), in_chw + kPad, batch, g, w.data(),
+                     bias.data(), act, got.data(), out_chw + kPad);
+            if (act == Act::kSilu || act == Act::kSigmoid) {
+              // fast_exp vs std::exp: ≈2 ULP (tensor/gemm.hpp).
+              for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_NEAR(got[i], want[i], 1e-6f * (1.0f + std::abs(want[i])))
+                    << "float " << i;
+            } else {
+              expect_bits_eq(got, want);
+            }
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(Activation, PooledBranchFreeMatchesScalarLoop) {
+  // Sizes under one vector, off 8, and over the pool's work floor.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{67},
+                              std::size_t{200003}}) {
+    for (const Act act : {Act::kRelu, Act::kLeakyRelu, Act::kSilu,
+                          Act::kSigmoid}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "n=" << n << " act=" << static_cast<int>(act));
+      Rng rng(n);
+      std::vector<float> in(n);
+      for (float& x : in) x = static_cast<float>(rng.uniform(-20.0, 20.0));
+      std::vector<float> want(n);
+      for (std::size_t i = 0; i < n; ++i) want[i] = oracle_act(act, in[i]);
+      on_both_paths([&] {
+        std::vector<float> got = in;
+        apply_activation(act, got.data(), n);
+        if (act == Act::kRelu || act == Act::kLeakyRelu) {
+          expect_bits_eq(got, want);
+        } else {
+          for (std::size_t i = 0; i < n; ++i)
+            ASSERT_NEAR(got[i], want[i], 1e-6f * (1.0f + std::abs(want[i])))
+                << "float " << i;
+        }
+      });
+    }
+  }
+}
+
+TEST(AddElementwise, PooledMatchesScalarLoopBitExact) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{13},
+                              std::size_t{300001}}) {
+    Rng rng(n + 1);
+    std::vector<float> a(n), b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+      b[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    for (const Act act : {Act::kNone, Act::kRelu}) {
+      std::vector<float> want(n);
+      for (std::size_t i = 0; i < n; ++i)
+        want[i] = oracle_act(act, a[i] + b[i]);
+      on_both_paths([&] {
+        std::vector<float> got(n);
+        add_elementwise(a.data(), b.data(), n, got.data(), act);
+        expect_bits_eq(got, want);
+      });
+    }
+  }
+}
+
+TEST(Copies, PooledCopiesMatchScalarLoops) {
+  // copy_images (the engine's input, concat and residual copies), the
+  // channel slice and the global average pool, over strided batches.
+  for (const MapShape& m : kMapShapes) {
+    for (const int batch : {1, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << m.c << "x" << m.h << "x" << m.w << " b" << batch);
+      Rng rng(static_cast<std::uint64_t>(m.c + m.w));
+      const std::size_t plane = static_cast<std::size_t>(m.h) * m.w;
+      const std::size_t chw = static_cast<std::size_t>(m.c) * plane;
+      const auto in = random_images(batch, chw, 1, rng);
+      const int c0 = m.c / 3, c1 = std::max(c0 + 1, m.c - 1);
+      const std::size_t slice = static_cast<std::size_t>(c1 - c0) * plane;
+
+      std::vector<float> want_copy(batch * (chw + kPad), kSentinel);
+      std::vector<float> want_slice(batch * (slice + kPad), kSentinel);
+      std::vector<float> want_gap(batch * (m.c + kPad), kSentinel);
+      for (int b = 0; b < batch; ++b) {
+        const float* img = in.data() + b * (chw + kPad);
+        std::copy_n(img, chw, want_copy.data() + b * (chw + kPad));
+        std::copy_n(img + c0 * plane, slice,
+                    want_slice.data() + b * (slice + kPad));
+        for (int ch = 0; ch < m.c; ++ch) {
+          double acc = 0.0;
+          for (std::size_t i = 0; i < plane; ++i) acc += img[ch * plane + i];
+          want_gap[b * (m.c + kPad) + ch] =
+              static_cast<float>(acc / static_cast<double>(plane));
+        }
+      }
+      std::vector<float> got_copy(want_copy.size(), kSentinel);
+      copy_images(in.data(), chw + kPad, batch, chw, got_copy.data(),
+                  chw + kPad);
+      expect_bits_eq(got_copy, want_copy);
+      std::vector<float> got_slice(want_slice.size(), kSentinel);
+      slice_channels(in.data(), chw + kPad, batch, m.h, m.w, c0, c1,
+                     got_slice.data(), slice + kPad);
+      expect_bits_eq(got_slice, want_slice);
+      std::vector<float> got_gap(want_gap.size(), kSentinel);
+      global_avg_pool(in.data(), chw + kPad, batch, m.c, m.h, m.w,
+                      got_gap.data(), m.c + kPad);
+      expect_bits_eq(got_gap, want_gap);
+    }
+  }
 }
 
 }  // namespace

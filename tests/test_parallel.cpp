@@ -78,12 +78,34 @@ TEST(ThreadPool, SmallRangesRunInlineWithoutDispatch) {
   EXPECT_EQ(pool.tasks_dispatched(), before);
 }
 
-TEST(ThreadPool, SingleWorkerPoolNeverDispatches) {
+TEST(ThreadPool, SingleWorkerPoolSplitsOverTwoExecutors) {
+  // A 2-CPU host gets one worker; with the caller that is two
+  // executors, so a large range must still be split, not run inline.
   ThreadPool pool(1);
+  EXPECT_EQ(pool.executors(), 2u);
   std::atomic<int> counter{0};
   pool.for_range(0, 10000, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 10000);
-  EXPECT_EQ(pool.tasks_dispatched(), 0u);
+  EXPECT_GT(pool.tasks_dispatched(), 1u);
+}
+
+TEST(ThreadPool, DefaultWorkersLeaveOneCpuForTheCaller) {
+  // Pure sizing rule, checked without starting a pool: workers plus the
+  // calling thread equal the CPUs, an unknown count (0) does not wrap
+  // the unsigned subtraction, and there is always a worker for submit().
+  EXPECT_EQ(ThreadPool::default_workers(0), 1u);
+  EXPECT_EQ(ThreadPool::default_workers(1), 1u);
+  EXPECT_EQ(ThreadPool::default_workers(2), 1u);
+  EXPECT_EQ(ThreadPool::default_workers(4), 3u);
+  EXPECT_EQ(ThreadPool::default_workers(64), 63u);
+  static_assert(ThreadPool::default_workers(8) == 7);
+}
+
+TEST(ThreadPool, GlobalPoolExecutorsMatchCpus) {
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t executors = ThreadPool::global().executors();
+  EXPECT_EQ(executors, ThreadPool::default_workers(hw) + 1);
+  if (hw >= 2) EXPECT_EQ(executors, hw);
 }
 
 TEST(ThreadPool, LargeRangesDispatchBoundedChunks) {
