@@ -71,12 +71,12 @@ struct LayerResult {
   }
 };
 
-/// Measure one conv layer through `algo`, or through the materialized
-/// im2col baseline when `algo` is empty (panels/weights prepacked and
-/// the column matrix allocated outside the timed region, exactly like
-/// an engine's steady state).
+/// Measure one conv layer through `plan`'s kernel, or through the
+/// materialized im2col baseline when `plan` is empty (panels/weights
+/// prepacked and the column matrix allocated outside the timed region,
+/// exactly like an engine's steady state).
 double measure_algo(const nn::ConvPlanKey& key,
-                    std::optional<nn::ConvAlgo> algo, double min_seconds) {
+                    std::optional<nn::ConvPlan> plan, double min_seconds) {
   const ConvGeometry geom = key.geometry();
   Rng rng(23);
   Tensor input({1, key.in_c, key.in_h, key.in_w});
@@ -88,7 +88,7 @@ double measure_algo(const nn::ConvPlanKey& key,
 
   nn::ConvScratch scratch;
   const nn::Act act = nn::Act::kLeakyRelu;
-  if (!algo) {
+  if (!plan) {
     PackedA packed(weight.data(), static_cast<std::size_t>(key.out_c),
                    geom.col_rows());
     std::vector<float> col(geom.col_rows() * geom.col_cols());
@@ -102,7 +102,7 @@ double measure_algo(const nn::ConvPlanKey& key,
                min_seconds) *
            1e3;
   }
-  switch (*algo) {
+  switch (plan->algo) {
     case nn::ConvAlgo::kDirectGemm: {
       PackedA packed(weight.data(), static_cast<std::size_t>(key.out_c),
                      geom.col_rows());
@@ -117,12 +117,13 @@ double measure_algo(const nn::ConvPlanKey& key,
     }
     case nn::ConvAlgo::kWinograd: {
       std::vector<PackedA> panels;
-      winograd::pack_weights(weight.data(), key.out_c, key.in_c, panels);
+      winograd::pack_weights(weight.data(), key.out_c, key.in_c,
+                             plan->wino_tile, panels);
       return best_seconds(
                  [&] {
                    nn::conv2d_winograd(input.data(), input.numel(), 1, geom,
-                                       panels, bias.data(), act,
-                                       output.data(), output.numel(),
+                                       plan->wino_tile, panels, bias.data(),
+                                       act, output.data(), output.numel(),
                                        scratch);
                  },
                  min_seconds) *
@@ -314,7 +315,7 @@ int main(int argc, char** argv) {
   for (LayerResult& layer : layers) {
     layer.plan = nn::plan_conv(layer.key);
     layer.im2col_ms = measure_algo(layer.key, std::nullopt, min_seconds);
-    layer.chosen_ms = measure_algo(layer.key, layer.plan.algo, min_seconds);
+    layer.chosen_ms = measure_algo(layer.key, layer.plan, min_seconds);
     std::ostringstream shape;
     shape << layer.key.in_c << "x" << layer.key.in_h << "x" << layer.key.in_w
           << "->" << layer.key.out_c;

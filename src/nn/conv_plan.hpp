@@ -2,8 +2,9 @@
 //
 // A ConvPlan records which implementation a conv layer should run
 // through (im2col stripes → packed GEMM, direct 1×1 GEMM, Winograd
-// F(2×2,3×3), or the quantized im2col stripes) and the weight-panel
-// storage it reads, together with the cost model's latency estimates. Plans are pure functions of the ConvPlanKey — the conv
+// F(2×2,3×3) or F(4×4,3×3), or the quantized im2col stripes) and the
+// weight-panel storage it reads, together with the cost model's latency
+// estimates. Plans are pure functions of the ConvPlanKey — the conv
 // geometry, batch, precision and SIMD path — so identical layers across
 // engines, models and threads share one cached decision: PlanCache is
 // a bounded, thread-safe map from key to plan. Lookups never allocate
@@ -51,7 +52,7 @@ const char* weight_storage_name(WeightStorage storage) noexcept;
 /// others are shape-specific alternatives.
 enum class ConvAlgo : std::uint8_t {
   kDirectGemm,  ///< 1×1 s1 p0: the input already is the column matrix
-  kWinograd,    ///< 3×3 s1: F(2×2,3×3) transforms + 16 pointwise GEMMs
+  kWinograd,    ///< 3×3 s1: F(m×m,3×3) transforms + (m+2)² pointwise GEMMs
   kIm2colFused, ///< im2col-free: column stripes packed on the fly
   kIm2colQuantFused,  ///< stripes over the u8 quad layout (kInt8 only)
 };
@@ -97,6 +98,9 @@ struct ConvPlan {
   float density = 1.0f;
   double est_ms = 0.0;         ///< modelled latency of the chosen algo
   double est_im2col_ms = 0.0;  ///< baseline candidate (dense stripes)
+  /// Winograd output tile side m (2 or 4) when algo is kWinograd, else
+  /// 0. The driver runs F(m×m, 3×3) over (m+2)² packed weight panels.
+  int wino_tile = 0;
 };
 
 /// Thread-safe bounded map from ConvPlanKey to ConvPlan.

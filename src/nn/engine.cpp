@@ -61,6 +61,28 @@ GemmNode gemm_node(const Graph& graph, int i) {
   }
 }
 
+/// Runs fn(i) for every node in `nodes` across the pool. Node costs
+/// differ by orders of magnitude, so each executor claims one node at a
+/// time, largest weights first: a range chunk of several deep layers
+/// would leave the other executors idle behind it. fn must touch only
+/// node i's own slots.
+template <class Fn>
+void for_nodes_largest_first(const Graph& graph, std::vector<int> nodes,
+                             const Fn& fn) {
+  std::stable_sort(nodes.begin(), nodes.end(), [&](int a, int b) {
+    return graph.weight_shape(a).numel() > graph.weight_shape(b).numel();
+  });
+  std::atomic<std::size_t> next{0};
+  parallel_for(
+      0, ThreadPool::global().executors(),
+      [&](std::size_t) {
+        for (std::size_t j; (j = next.fetch_add(1, std::memory_order_relaxed)) <
+                            nodes.size();)
+          fn(nodes[j]);
+      },
+      /*grain=*/1);
+}
+
 }  // namespace
 
 std::string ExecutionPlan::to_text(const Graph& graph) const {
@@ -89,8 +111,12 @@ std::string ExecutionPlan::to_text(const Graph& graph) const {
         !linear_row)
       continue;
     const FeatShape s = graph.shape(nd.inputs[0]);
-    // Algo column, e.g. "winograd", "im2col/sparse", "direct/half".
+    // Algo column, e.g. "winograd/4x4", "im2col/sparse", "direct/half".
     std::string algo = conv_algo_name(p.algo);
+    if (p.algo == ConvAlgo::kWinograd) {
+      algo += '/' + std::to_string(p.wino_tile) + 'x' +
+              std::to_string(p.wino_tile);
+    }
     if (p.storage != WeightStorage::kDense) {
       algo += '/';
       algo += weight_storage_name(p.storage);
@@ -127,36 +153,22 @@ Engine::Engine(const Graph& graph, std::uint64_t seed) : graph_(graph) {
 
   // Initialise every node's weights and pack its panels (with their
   // CRCs) across the pool. Each node draws from its own seeded Rng and
-  // touches only its own slots, so the result is the serial one. Node
-  // costs differ by orders of magnitude, so each executor claims one
-  // node at a time, largest weights first: a range chunk of several
-  // deep layers would leave the other executors idle behind it.
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return graph_.weight_shape(a).numel() > graph_.weight_shape(b).numel();
+  // touches only its own slots, so the result is the serial one.
+  std::vector<int> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), 0);
+  for_nodes_largest_first(graph_, std::move(all), [&](int i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const Shape ws = graph_.weight_shape(i);
+    if (ws.numel() == 0) return;
+    // He fan-in: the weights feeding one output channel.
+    const int out_c = graph_.shape(i).c;
+    Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
+    weights_[ui] = Tensor(ws);
+    weights_[ui].init_he(rng, static_cast<int>(ws.numel()) / out_c);
+    biases_[ui] = Tensor({1, out_c, 1, 1});
+    // Load-time plan: pack every GEMM node's weight panels.
+    if (gemm_node(graph_, i)) repack(i);
   });
-  std::atomic<std::size_t> next{0};
-  parallel_for(
-      0, ThreadPool::global().executors(),
-      [&](std::size_t) {
-        for (std::size_t j; (j = next.fetch_add(1, std::memory_order_relaxed)) <
-                            order.size();) {
-          const int i = order[j];
-          const std::size_t ui = static_cast<std::size_t>(i);
-          const Shape ws = graph_.weight_shape(i);
-          if (ws.numel() == 0) continue;
-          // He fan-in: the weights feeding one output channel.
-          const int out_c = graph_.shape(i).c;
-          Rng rng(hash_combine(seed, static_cast<std::uint64_t>(i)));
-          weights_[ui] = Tensor(ws);
-          weights_[ui].init_he(rng, static_cast<int>(ws.numel()) / out_c);
-          biases_[ui] = Tensor({1, out_c, 1, 1});
-          // Load-time plan: pack every GEMM node's weight panels.
-          if (gemm_node(graph_, i)) repack(i);
-        }
-      },
-      /*grain=*/1);
   for (int i = 0; i < n; ++i)
     if (gemm_node(graph_, i)) integrity_nodes_.push_back(i);
   size_deconv_stage();
@@ -281,7 +293,8 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
     }
     plan_scratch_[ui] = p;
     if (p.algo != plan_.nodes[ui].algo ||
-        p.storage != plan_.nodes[ui].storage)
+        p.storage != plan_.nodes[ui].storage ||
+        p.wino_tile != plan_.nodes[ui].wino_tile)
       algos_changed = true;
   }
   const PlanCache::Stats after = cache.stats();
@@ -319,15 +332,23 @@ const ExecutionPlan& Engine::prepare(const PlanRequest& request) {
   }
   sparsity_ = request.sparsity;
   half_format_ = request.half_format;
+  // Pack what the plan reads across the pool: the storage panels, and
+  // the Winograd panels of the tile the plan picked (a node that left
+  // Winograd drops its panels).
+  std::vector<int> gemm_nodes;
   for (int i = 0; i < n; ++i)
-    if (gemm_node(graph_, i)) pack_storage(i);
-
-  // Winograd nodes need their transformed weight panels.
-  for (int i = 0; i < n; ++i)
-    if (plan_.nodes[static_cast<std::size_t>(i)].algo ==
-            ConvAlgo::kWinograd &&
-        panels_[static_cast<std::size_t>(i)].wino.empty())
+    if (gemm_node(graph_, i)) gemm_nodes.push_back(i);
+  for_nodes_largest_first(graph_, std::move(gemm_nodes), [&](int i) {
+    pack_storage(i);
+    const ConvPlan& p = plan_.nodes[static_cast<std::size_t>(i)];
+    std::vector<PackedA>& wino = panels_[static_cast<std::size_t>(i)].wino;
+    if (p.algo != ConvAlgo::kWinograd) {
+      std::vector<PackedA>().swap(wino);
+    } else if (wino.size() !=
+               static_cast<std::size_t>(winograd::tile_elems(p.wino_tile))) {
       pack_winograd(i);
+    }
+  });
 
   if (request.precision == Precision::kInt8) {
     build_int8_plan();
@@ -400,7 +421,7 @@ Engine::PanelState Engine::panel_state(int node) const {
   st.sparse = !w.sparse.empty();
   st.sparse_half = st.sparse && w.sparse.half();
   st.half = !w.half.empty();
-  st.winograd = !w.wino.empty();
+  st.winograd_panels = w.wino.size();
   st.dense_crc = w.dense_crc;
   st.sparse_crc = w.sparse_crc;
   st.half_crc = w.half_crc;
@@ -458,7 +479,8 @@ void Engine::reserve_conv_scratch() {
     } else {
       switch (plan_.nodes[ui].algo) {
         case ConvAlgo::kWinograd:
-          bytes = winograd::scratch_floats(g.geom, g.rows, max_batch_) *
+          bytes = winograd::scratch_floats(g.geom, g.rows, max_batch_,
+                                           plan_.nodes[ui].wino_tile) *
                   sizeof(float);
           break;
         case ConvAlgo::kIm2colFused:
@@ -528,8 +550,8 @@ void Engine::repack(int node) {
     qlayers_[i] = quantize_layer(wq, m, k, in_q, out_q, act);
     qlayers_[i].emit_u8 = emit;
   }
-  // Winograd-planned nodes carry a transformed copy of the weights;
-  // refresh it alongside the straight panels.
+  // Winograd-planned nodes carry a transformed copy of the weights (for
+  // the plan's tile); refresh it alongside the straight panels.
   if (nd.kind == OpKind::kConv && !w.wino.empty()) pack_winograd(node);
   // Compressed panels re-derive from the mutated weights too (masks are
   // magnitude-based, so they may move).
@@ -583,7 +605,7 @@ void Engine::pack_winograd(int node) {
                 "winograd panels need a 3x3 stride-1 conv node");
   const FeatShape in0 = graph_.shape(nd.inputs[0]);
   winograd::pack_weights(weights_[i].data(), nd.out_c, in0.c,
-                         panels_[i].wino);
+                         plan_.nodes[i].wino_tile, panels_[i].wino);
 }
 
 // ---------------------------------------------------------------------------
@@ -834,8 +856,9 @@ void Engine::forward(std::span<const Tensor> inputs) {
       const std::size_t sstride = src_stride(0);
       switch (plan_.nodes[ui].algo) {
         case ConvAlgo::kWinograd:
-          conv2d_winograd(src, sstride, batch, geom, w.wino, conv_bias, act,
-                          out, out_stride, scratch_, mode);
+          conv2d_winograd(src, sstride, batch, geom, plan_.nodes[ui].wino_tile,
+                          w.wino, conv_bias, act, out, out_stride, scratch_,
+                          mode);
           break;
         case ConvAlgo::kDirectGemm:
           w.visit(plan_.nodes[ui].storage, [&](const auto& panels) {

@@ -8,12 +8,13 @@
 //
 // Planning is explicit: prepare(PlanRequest) is the single entry point
 // that decides, per conv layer, which implementation to run (im2col
-// stripes → packed GEMM, direct 1×1, Winograd F(2×2,3×3), or the
-// quantized stripes) and which weight storage it reads, sizes
-// activations for the requested micro-batch, selects the execution
-// precision, and reserves the scratch arena — consulting the
-// process-wide PlanCache so identical layers across engines share one
-// costed decision (see nn/planner.hpp). One interpreter executes the
+// stripes → packed GEMM, direct 1×1, Winograd F(2×2,3×3) or F(4×4,3×3)
+// with the tile picked per layer, or the quantized stripes) and which
+// weight storage it reads, sizes activations for the requested
+// micro-batch, selects the execution precision, and reserves the
+// scratch arena — consulting the process-wide PlanCache so identical
+// layers across engines share one costed decision (see
+// nn/planner.hpp). One interpreter executes the
 // prepared ExecutionPlan: a single strided pass over the graph that runs
 // every node for all images of a call. run() is a batch-1 pass and
 // run_batch() a batched one, except under INT8, where run_batch() loops
@@ -148,8 +149,9 @@ class Engine {
 
   /// Plan execution for `request`: pick each conv's implementation via
   /// the shape-keyed PlanCache, (re)size activations for max_batch
-  /// (grow-only), transform Winograd weight panels, reserve arena
-  /// scratch and select the precision. Re-preparing with a request
+  /// (grow-only), pack the panels the plan reads (Winograd panels for
+  /// the picked tile, compressed storage) across the pool, reserve
+  /// arena scratch and select the precision. Re-preparing with a request
   /// that changes nothing is heap-free (plans land in pre-sized
   /// storage; cache lookups never allocate). The returned reference
   /// stays valid for the engine's lifetime and always describes the
@@ -255,7 +257,9 @@ class Engine {
     bool sparse = false;
     bool sparse_half = false;  ///< sparse panels store 16-bit values
     bool half = false;
-    bool winograd = false;  ///< transformed 3×3 panels present
+    /// Transformed 3×3 panels present: (m+2)² for the plan's tile m,
+    /// 0 when the node does not run Winograd.
+    std::size_t winograd_panels = 0;
     std::uint32_t dense_crc = 0;
     std::uint32_t sparse_crc = 0;
     std::uint32_t half_crc = 0;
@@ -305,8 +309,9 @@ class Engine {
     /// kSparse/kSparseHalf or kHalf storage (empty otherwise).
     PackedSparseA sparse;
     PackedHalfA half;
-    /// Winograd weight panels (16), packed lazily when the plan first
-    /// selects kWinograd for the node.
+    /// Winograd weight panels ((m+2)² for the plan's tile m), packed
+    /// by prepare() when the plan selects kWinograd for the node and
+    /// dropped when it no longer does.
     std::vector<PackedA> wino;
     std::uint32_t dense_crc = 0;
     std::uint32_t sparse_crc = 0;

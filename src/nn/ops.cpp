@@ -92,27 +92,31 @@ void conv2d(const float* input, const ConvGeometry& geom, int out_c,
 }
 
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
-                     const ConvGeometry& geom,
+                     const ConvGeometry& geom, int tile,
                      const std::vector<PackedA>& u_panels, const float* bias,
                      Act act, float* output, std::size_t out_stride,
                      ConvScratch& scratch, EpiMode mode) {
   OCB_CHECK_MSG(batch >= 1, "conv2d_winograd needs at least one image");
   OCB_CHECK_MSG(winograd::applicable(geom),
                 "conv2d_winograd needs a 3x3 stride-1 conv");
-  OCB_CHECK_MSG(
-      u_panels.size() == static_cast<std::size_t>(winograd::kTileElems),
-      "conv2d_winograd needs 16 transformed weight panels");
+  OCB_CHECK_MSG(winograd::tile_legal(tile) &&
+                    u_panels.size() ==
+                        static_cast<std::size_t>(winograd::tile_elems(tile)),
+                "conv2d_winograd needs (tile+2)^2 panels of a 2 or 4 tile");
   const int out_c = static_cast<int>(u_panels.front().rows());
   const std::size_t in_c = static_cast<std::size_t>(geom.in_c);
-  const std::size_t th = static_cast<std::size_t>(winograd::tiles_h(geom));
-  const std::size_t tw = static_cast<std::size_t>(winograd::tiles_w(geom));
+  const std::size_t th =
+      static_cast<std::size_t>(winograd::tiles_h(geom, tile));
+  const std::size_t tw =
+      static_cast<std::size_t>(winograd::tiles_w(geom, tile));
   const std::size_t rows = th * static_cast<std::size_t>(batch);
   // Blocks of global tile rows g = b·th + ty (winograd::block_count),
   // heights differing by at most one row.
-  const std::size_t blocks = winograd::block_count(geom, out_c, batch);
+  const std::size_t blocks =
+      winograd::block_count(geom, out_c, batch, tile);
   const std::size_t bufs = fused_panel_buffers(blocks);
   const std::size_t slot_floats =
-      winograd::block_slot_floats(geom, out_c, batch);
+      winograd::block_slot_floats(geom, out_c, batch, tile);
   scratch.arena.reset();
   float* slots = scratch.arena.alloc_floats(bufs * slot_floats);
   const EpiAct epi_act = to_epilogue_act(act);
@@ -145,11 +149,11 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
     const std::size_t g0 = s * rows / blocks;
     const std::size_t g1 = (s + 1) * rows / blocks;
     const std::size_t cols = (g1 - g0) * tw;
-    float* m = v + static_cast<std::size_t>(winograd::kTileElems) * in_c * cols;
+    float* m = v + u_panels.size() * in_c * cols;
     each_segment(g0, g1, inner_parallel,
                  [&](std::size_t b, int ty0, int ty1, std::size_t col) {
-                   winograd::transform_input(input + b * in_stride, geom, v,
-                                             cols, col, ty0, ty1);
+                   winograd::transform_input(input + b * in_stride, geom, tile,
+                                             v, cols, col, ty0, ty1);
                  });
     // Bias + activation wait for the inverse transform: the GEMMs run
     // in the transformed domain, where neither distributes.
@@ -162,8 +166,8 @@ void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
     }
     each_segment(g0, g1, inner_parallel,
                  [&](std::size_t b, int ty0, int ty1, std::size_t col) {
-                   winograd::transform_output(m, cols, col, geom, out_c, bias,
-                                              epi_act, mode,
+                   winograd::transform_output(m, cols, col, geom, tile, out_c,
+                                              bias, epi_act, mode,
                                               output + b * out_stride, ty0,
                                               ty1);
                  });

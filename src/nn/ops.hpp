@@ -107,19 +107,21 @@ void conv2d_fused(const float* input, std::size_t in_stride, int batch,
                      GemmEpilogue{bias, to_epilogue_act(act), mode});
 }
 
-/// Winograd F(2×2,3×3) conv (kernel 3, stride 1 only) over weight
-/// panels pre-transformed by winograd::pack_weights. The batch's tile
-/// rows, indexed image-major (g = b·tiles_h + ty), run in
+/// Winograd F(tile×tile, 3×3) conv (kernel 3, stride 1 only; tile 2
+/// or 4, the plan's ConvPlan::wino_tile) over the (tile+2)² weight
+/// panels winograd::pack_weights transformed for that tile. The
+/// batch's tile rows, indexed image-major (g = b·tiles_h + ty), run in
 /// winograd::block_count blocks that may span images: each block
-/// input-transforms its rows into a slot-local V, runs the 16 pointwise
-/// GEMMs into M and inverse-transforms straight into the output, with
-/// bias, activation and `mode` fused. V and M never exceed a block, so
-/// they stay in L2 (winograd.hpp has the layout). Blocks run in waves
-/// over the pool like the im2col stripes; when too few blocks fill a
-/// wave, each block fans its transforms and GEMMs out instead. Scratch
-/// use is winograd::scratch_floats(geom, out_c, batch).
+/// input-transforms its rows into a slot-local V, runs the (tile+2)²
+/// pointwise GEMMs into M and inverse-transforms straight into the
+/// output, with bias, activation and `mode` fused. V and M never
+/// exceed a block, so they stay in L2 (winograd.hpp has the layout).
+/// Blocks run in waves over the pool like the im2col stripes; when too
+/// few blocks fill a wave, each block fans its transforms and GEMMs out
+/// instead. Scratch use is winograd::scratch_floats(geom, out_c, batch,
+/// tile).
 void conv2d_winograd(const float* input, std::size_t in_stride, int batch,
-                     const ConvGeometry& geom,
+                     const ConvGeometry& geom, int tile,
                      const std::vector<PackedA>& u_panels, const float* bias,
                      Act act, float* output, std::size_t out_stride,
                      ConvScratch& scratch, EpiMode mode = EpiMode::kStore);

@@ -104,6 +104,12 @@ double copy_ms(double bytes, double gbps) noexcept {
   return bytes / (std::max(0.05, gbps) * 1e6);
 }
 
+/// Fixed wall time a GEMM fanned out over the pool loses to its fork
+/// and join, beyond its serial time split over the executors. One-GEMM
+/// probe (4-vCPU AVX2 host, 4 executors): [m × m]·[m × n] for m 32–256
+/// and n 8–100 ran in serial/4 + 10–16 µs.
+constexpr double kFanoutJoinUs = 12.0;
+
 /// Effective bandwidth for the im2col stripes' panel traffic.
 /// A zero cache_gbps (older aggregate-initialised models) derives one
 /// from mem_gbps: the panels are sized to sit in L2, which on every
@@ -246,40 +252,47 @@ double est_direct_ms(const ConvPlanKey& key,
   return est_direct_storage_ms(key, model, WeightStorage::kDense, 1.0);
 }
 
-double est_winograd_ms(const ConvPlanKey& key,
-                       const KernelCostModel& model) noexcept {
+double est_winograd_ms(const ConvPlanKey& key, const KernelCostModel& model,
+                       int tile) noexcept {
   const ConvGeometry geom = key.geometry();
   const double ld =
-      static_cast<double>(winograd::tile_count(geom)) * key.batch;
-  const double elems = static_cast<double>(winograd::kTileElems);
+      static_cast<double>(winograd::tile_count(geom, tile)) * key.batch;
+  const double elems = static_cast<double>(winograd::tile_elems(tile));
   // The blocked driver (nn/ops.cpp) runs tile-row blocks whose V and M
-  // stay in L2; with enough blocks they run in waves, one block per
-  // executor, so the per-block work overlaps `lanes` ways.
+  // stay in L2. With at least one block per executor they run in waves,
+  // `lanes` side by side; fewer blocks run one after another, each
+  // fanning its transforms and GEMMs out over the pool.
   const std::size_t blocks =
-      winograd::block_count(geom, key.out_c, key.batch);
+      winograd::block_count(geom, key.out_c, key.batch, tile);
   const std::size_t executors = ThreadPool::global().executors();
-  const double lanes = blocks >= executors
-                           ? static_cast<double>(fused_panel_buffers(blocks))
-                           : 1.0;
+  const bool fanned = blocks < executors;
+  const double lanes =
+      fanned ? 1.0 : static_cast<double>(fused_panel_buffers(blocks));
   const double waves = std::ceil(static_cast<double>(blocks) / lanes);
-  // Transform arithmetic (the input side gathers 16 floats per
-  // tile-channel, the inverse writes a 2×2 tile per tile-channel) and
-  // the V/M round trip through each block's L2 run on every lane.
+  // Transform traffic per tile: the input side writes α² floats of V
+  // per tile-channel, the inverse writes an m×m tile per tile-channel,
+  // and the V/M round trip runs through each block's L2, on every lane.
   double ms = copy_ms(elems * key.in_c * ld * sizeof(float),
                       model.transform_gbps);
-  ms += copy_ms(4.0 * key.out_c * ld * sizeof(float), model.transform_gbps);
+  ms += copy_ms(static_cast<double>(tile) * tile * key.out_c * ld *
+                    sizeof(float),
+                model.transform_gbps);
   ms += copy_ms(2.0 * elems * (key.in_c + key.out_c) * ld * sizeof(float),
                 cache_gbps_of(model));
   ms /= lanes;
-  // 16 pointwise GEMMs of [out_c × in_c] · [in_c × tiles]; every wave
+  // α² pointwise GEMMs of [out_c × in_c] · [in_c × tiles]; every wave
   // beyond the first adds their dispatches and one more pass over the
-  // 16 weight panels.
+  // α² weight panels. A fanned block forks and joins the whole pool
+  // once per GEMM, which idles every executor for kFanoutJoinUs.
   ms += elems * gemm_ms(static_cast<std::size_t>(key.out_c),
                         static_cast<std::size_t>(key.in_c),
                         static_cast<std::size_t>(ld), model);
   const double u_bytes = elems * key.out_c * key.in_c * sizeof(float);
   ms += (waves - 1.0) * (elems * model.gemm_overhead_us * 1e-3 +
                          copy_ms(u_bytes, cache_gbps_of(model)));
+  if (fanned)
+    ms += static_cast<double>(blocks) * elems *
+          static_cast<double>(executors) * kFanoutJoinUs * 1e-3;
   return ms;
 }
 
@@ -338,12 +351,14 @@ ConvPlan plan_conv(const ConvPlanKey& key, const PlannerConfig& config) {
   plan.est_im2col_ms = est_im2col_ms(key, model);
 
   const auto consider = [&plan](ConvAlgo algo, WeightStorage storage,
-                                double density, double ms) {
+                                double density, double ms,
+                                int wino_tile = 0) {
     if (ms < plan.est_ms) {
       plan.algo = algo;
       plan.storage = storage;
       plan.density = static_cast<float>(density);
       plan.est_ms = ms;
+      plan.wino_tile = wino_tile;
     }
   };
 
@@ -368,8 +383,9 @@ ConvPlan plan_conv(const ConvPlanKey& key, const PlannerConfig& config) {
       consider(ConvAlgo::kDirectGemm, WeightStorage::kDense, 1.0,
                est_direct_ms(key, model));
     if (config.enable_winograd && winograd_applicable(key))
-      consider(ConvAlgo::kWinograd, WeightStorage::kDense, 1.0,
-               est_winograd_ms(key, model));
+      for (const int tile : winograd::kTiles)
+        consider(ConvAlgo::kWinograd, WeightStorage::kDense, 1.0,
+                 est_winograd_ms(key, model, tile), tile);
 
     // Compressed-storage candidates: half panels under kFp16, sparse
     // panels when the key targets pruning, and their combination.

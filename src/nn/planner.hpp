@@ -100,10 +100,14 @@ bool direct_applicable(const ConvPlanKey& key) noexcept;
 /// beyond the first adds a dispatch and a packed-A re-read, stripes
 /// spanning images add their staging-tile copy, and the GEMM runs over
 /// the whole batch's columns. est_winograd_ms prices the blocked
-/// Winograd driver: transform arithmetic at transform_gbps and the V/M
-/// round trip at cache_gbps, both shared by the blocks that run side
-/// by side in one wave (winograd::block_count), then the 16 GEMMs, with
-/// a dispatch and a weight-panel pass per GEMM for every further wave.
+/// Winograd driver for one output tile side (2 or 4): its tile count
+/// (edge tiles included), transform traffic per tile at transform_gbps
+/// and the V/M round trip at cache_gbps, both shared by the blocks
+/// that run side by side in one wave (winograd::block_count), then the
+/// (tile+2)² GEMMs, with a dispatch and a weight-panel pass per GEMM
+/// for every further wave; blocks too few to fill a wave fan out and
+/// pay a pool fork/join per GEMM. plan_conv prices both tiles and keeps
+/// the cheaper one in ConvPlan::wino_tile.
 /// est_im2col_storage_ms prices it for
 /// compressed weight panels (`density` is the surviving weight
 /// fraction, ignored for kDense/kHalf); kDense with density 1.0 is
@@ -112,8 +116,8 @@ double est_im2col_ms(const ConvPlanKey& key,
                      const KernelCostModel& model) noexcept;
 double est_direct_ms(const ConvPlanKey& key,
                      const KernelCostModel& model) noexcept;
-double est_winograd_ms(const ConvPlanKey& key,
-                       const KernelCostModel& model) noexcept;
+double est_winograd_ms(const ConvPlanKey& key, const KernelCostModel& model,
+                       int tile) noexcept;
 /// The INT8 stripes over the u8 quad layout, plus activation
 /// quantization; one pass per image.
 double est_int8_fused_ms(const ConvPlanKey& key,

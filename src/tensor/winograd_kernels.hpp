@@ -2,10 +2,14 @@
 // (winograd.cpp) and the AVX2 translation unit (winograd_avx2.cpp).
 // Not installed as public API.
 //
-// The per-tile scalar helpers live here so both translation units
-// share one definition: the scalar transforms iterate them over every
-// tile, and the AVX2 path falls back to them for the clipped edge
-// tiles its 8-tile register blocks cannot cover.
+// The transform networks are templates over the value type T: the
+// scalar path runs them on float, one tile at a time, and the AVX2
+// path on an 8-lane vector holding 8 consecutive tiles. One
+// definition means one operation order, so both paths transform to
+// the same bits (the epilogues differ only in how SiLU and sigmoid
+// round, see winograd_avx2.cpp). Every constant in Bᵀ and Aᵀ is a power of two or is
+// applied as x + x·½ (1.5·x), so each product is exact and an FMA
+// contraction of any product into its sum could not change a result.
 #pragma once
 
 #include <cstddef>
@@ -14,146 +18,138 @@
 
 namespace ocb::winograd::detail {
 
-// 1-D pieces of the F(2,3) transform triple. Each 2-D transform is the
-// 1-D form applied first down the columns, then across the rows (the
+// 1-D pieces of the transform triples. Each 2-D transform is the 1-D
+// form applied first down the columns, then across the rows (the
 // matrices are small enough that spelling the adds out beats a generic
 // matmul by a wide margin and keeps the operation count minimal).
 
-/// y = Bᵀ x with Bᵀ = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]].
-inline void bt_mul(const float x[4], float y[4]) noexcept {
-  y[0] = x[0] - x[2];
-  y[1] = x[1] + x[2];
-  y[2] = x[2] - x[1];
-  y[3] = x[1] - x[3];
-}
-
-/// y = G x with G = [[1,0,0],[½,½,½],[½,−½,½],[0,0,1]].
-inline void g_mul(const float x[3], float y[4]) noexcept {
-  y[0] = x[0];
-  y[1] = 0.5f * (x[0] + x[1] + x[2]);
-  y[2] = 0.5f * (x[0] - x[1] + x[2]);
-  y[3] = x[2];
-}
-
-/// y = Aᵀ x with Aᵀ = [[1,1,1,0],[0,1,-1,-1]].
-inline void at_mul(const float x[4], float y[2]) noexcept {
-  y[0] = x[0] + x[1] + x[2];
-  y[1] = x[1] - x[2] - x[3];
-}
-
-/// Transform the 4×4 input tile at (iy0, ix0) of one h×w plane
-/// (positions outside the plane gather zeros, matching im2col's
-/// padding) and scatter its 16 elements into column `p` of the 16
-/// per-element matrices rooted at `vc`, `plane` floats apart.
-inline void input_tile_scalar(const float* src, int h, int w, int iy0,
-                              int ix0, float* vc, std::size_t plane,
-                              std::size_t p) noexcept {
-  float d[4][4];
-  if (iy0 >= 0 && ix0 >= 0 && iy0 + 4 <= h && ix0 + 4 <= w) {
-    // Interior tile: four contiguous row loads.
-    const float* row = src + static_cast<std::size_t>(iy0) * w + ix0;
-    for (int r = 0; r < 4; ++r, row += w) {
-      d[r][0] = row[0];
-      d[r][1] = row[1];
-      d[r][2] = row[2];
-      d[r][3] = row[3];
-    }
+/// y = Bᵀ x. F(2,3): Bᵀ = [[1,0,-1,0],[0,1,1,0],[0,-1,1,0],[0,1,0,-1]].
+/// F(4,3), points {0, −1, 1, ½, −2, ∞}:
+///   Bᵀ = [[1, -3/2,   -2,  3/2, 1, 0],
+///         [0,    1, -5/2,  1/2, 1, 0],
+///         [0,   -1,  1/2,  5/2, 1, 0],
+///         [0,   -2,   -1,    2, 1, 0],
+///         [0,  1/2,   -1, -1/2, 1, 0],
+///         [0,    1, -3/2,   -2, 3/2, 1]].
+template <int M, class T>
+inline void bt_mul(const T* x, T* y) noexcept {
+  if constexpr (M == 2) {
+    y[0] = x[0] - x[2];
+    y[1] = x[1] + x[2];
+    y[2] = x[2] - x[1];
+    y[3] = x[1] - x[3];
   } else {
-    // Border tile: gather with zero padding.
-    for (int r = 0; r < 4; ++r) {
-      const int sy = iy0 + r;
-      for (int col = 0; col < 4; ++col) {
-        const int sx = ix0 + col;
-        d[r][col] = (sy >= 0 && sy < h && sx >= 0 && sx < w)
-                        ? src[static_cast<std::size_t>(sy) * w + sx]
-                        : 0.0f;
-      }
-    }
-  }
-  // V = Bᵀ d B: columns, then rows.
-  float t[4][4];
-  for (int col = 0; col < 4; ++col) {
-    const float x[4] = {d[0][col], d[1][col], d[2][col], d[3][col]};
-    float y[4];
-    bt_mul(x, y);
-    for (int row = 0; row < 4; ++row) t[row][col] = y[row];
-  }
-  for (int row = 0; row < 4; ++row) {
-    float y[4];
-    bt_mul(t[row], y);
-    for (int col = 0; col < 4; ++col)
-      vc[static_cast<std::size_t>(row * 4 + col) * plane + p] = y[col];
+    static_assert(M == 4, "winograd tiles are 2 or 4");
+    const T s = x[4] - x[2];
+    const T d = x[3] - x[1];
+    const T h = d * 0.5f;
+    const T e = x[3] - x[2];
+    const T f = x[3] + x[2];
+    y[0] = ((x[0] - x[2]) + s) + (d + h);
+    y[1] = (s - d) + (e + e * 0.5f);
+    y[2] = (s + d) + (f + f * 0.5f);
+    y[3] = s + (d + d);
+    y[4] = s - h;
+    y[5] = ((x[5] - x[3]) + (x[1] - x[3])) + (s + s * 0.5f);
   }
 }
 
-/// Inverse-transform column `p` of the 16 product matrices rooted at
-/// `mk` (`plane` floats apart) into the 2×2 output tile at (oy0, ox0),
-/// fusing the bias add and activation; rows/columns past oh/ow are
-/// clipped. `mode` combines the tile with the existing output exactly
-/// as the GEMM epilogue does (residual fusion preloads dst).
-inline void inverse_tile_scalar(const float* mk, std::size_t plane,
-                                std::size_t p, int oy0, int ox0, int oh,
-                                int ow, float bk, EpiAct act, EpiMode mode,
-                                float* dst) noexcept {
-  float tile[4][4];
-  for (int xi = 0; xi < kTileElems; ++xi)
-    tile[xi / 4][xi % 4] = mk[static_cast<std::size_t>(xi) * plane + p];
-  // Y = Aᵀ M A: columns, then rows.
-  float t[2][4];
-  for (int col = 0; col < 4; ++col) {
-    const float x[4] = {tile[0][col], tile[1][col], tile[2][col],
-                        tile[3][col]};
-    float y[2];
-    at_mul(x, y);
-    t[0][col] = y[0];
-    t[1][col] = y[1];
+/// y = Aᵀ x. F(2,3): Aᵀ = [[1,1,1,0],[0,1,-1,-1]]. F(4,3):
+///   Aᵀ = [[1,  1, 1,   1,  1, 0],
+///         [0, -1, 1, 1/2, -2, 0],
+///         [0,  1, 1, 1/4,  4, 0],
+///         [0, -1, 1, 1/8, -8, 1]].
+template <int M, class T>
+inline void at_mul(const T* x, T* y) noexcept {
+  if constexpr (M == 2) {
+    y[0] = x[0] + x[1] + x[2];
+    y[1] = x[1] - x[2] - x[3];
+  } else {
+    static_assert(M == 4, "winograd tiles are 2 or 4");
+    const T p = x[2] + x[1];
+    const T q = x[2] - x[1];
+    y[0] = (x[0] + p) + (x[3] + x[4]);
+    y[1] = q + (x[3] * 0.5f - x[4] * 2.0f);
+    y[2] = p + (x[3] * 0.25f + x[4] * 4.0f);
+    y[3] = (q + (x[3] * 0.125f - x[4] * 8.0f)) + x[5];
   }
-  for (int dy = 0; dy < kTileOut; ++dy) {
-    const int oy = oy0 + dy;
-    if (oy >= oh) break;
-    float y[2];
-    at_mul(t[dy], y);
-    float* out_row = dst + static_cast<std::size_t>(oy) * ow;
-    for (int dx = 0; dx < kTileOut; ++dx) {
-      const int ox = ox0 + dx;
-      if (ox >= ow) break;
-      switch (mode) {
-        case EpiMode::kStore:
-          out_row[ox] = apply_epi_act(act, y[dx] + bk);
-          break;
-        case EpiMode::kAccThenAct:
-          out_row[ox] = apply_epi_act(act, out_row[ox] + y[dx] + bk);
-          break;
-        case EpiMode::kActThenAcc:
-          out_row[ox] += apply_epi_act(act, y[dx] + bk);
-          break;
-      }
-    }
+}
+
+/// V = Bᵀ d B of one α×α tile (α = M + 2), columns first, then rows;
+/// element (row, col) of V goes to put(row·α + col, value).
+template <int M, class T, class Put>
+inline void input_tile(const T (&d)[M + 2][M + 2], Put&& put) noexcept {
+  constexpr int a = M + 2;
+  T t[a][a];
+  for (int col = 0; col < a; ++col) {
+    T x[a], y[a];
+    for (int r = 0; r < a; ++r) x[r] = d[r][col];
+    bt_mul<M>(x, y);
+    for (int r = 0; r < a; ++r) t[r][col] = y[r];
+  }
+  for (int row = 0; row < a; ++row) {
+    T y[a];
+    bt_mul<M>(t[row], y);
+    for (int col = 0; col < a; ++col) put(row * a + col, y[col]);
+  }
+}
+
+/// Y = Aᵀ P A of one tile whose element xi is get(xi), columns first,
+/// then rows.
+template <int M, class T, class Get>
+inline void inverse_tile(Get&& get, T (&y)[M][M]) noexcept {
+  constexpr int a = M + 2;
+  T t[M][a];
+  for (int col = 0; col < a; ++col) {
+    T x[a], z[M];
+    for (int r = 0; r < a; ++r) x[r] = get(r * a + col);
+    at_mul<M>(x, z);
+    for (int r = 0; r < M; ++r) t[r][col] = z[r];
+  }
+  for (int row = 0; row < M; ++row) at_mul<M>(t[row], y[row]);
+}
+
+/// Fold one transformed output value into its pixel: bias, activation
+/// and `mode` exactly as the GEMM epilogue combines them (residual
+/// fusion preloads `out`). The scalar transforms finish through it;
+/// the AVX2 path runs the vector form of the same epilogue.
+inline void epi_pixel(float y, float bk, EpiAct act, EpiMode mode,
+                      float& out) noexcept {
+  switch (mode) {
+    case EpiMode::kStore:
+      out = apply_epi_act(act, y + bk);
+      break;
+    case EpiMode::kAccThenAct:
+      out = apply_epi_act(act, out + y + bk);
+      break;
+    case EpiMode::kActThenAcc:
+      out += apply_epi_act(act, y + bk);
+      break;
   }
 }
 
 /// Scalar reference transforms over tile rows [ty0, ty1) — the
 /// fallback and the oracle for the AVX2 path. Defined in winograd.cpp.
 void transform_input_scalar(const float* image, const ConvGeometry& geom,
-                            float* v, std::size_t ld, std::size_t col_offset,
-                            int ty0, int ty1);
+                            int tile, float* v, std::size_t ld,
+                            std::size_t col_offset, int ty0, int ty1);
 void transform_output_scalar(const float* m, std::size_t ld,
                              std::size_t col_offset, const ConvGeometry& geom,
-                             int out_c, const float* bias, EpiAct act,
-                             EpiMode mode, float* output, int ty0, int ty1);
+                             int tile, int out_c, const float* bias,
+                             EpiAct act, EpiMode mode, float* output, int ty0,
+                             int ty1);
 
 /// AVX2 transforms over tile rows [ty0, ty1), vectorised across 8
-/// consecutive tiles of one tile row (defined in winograd_avx2.cpp; baseline builds of that TU
-/// forward to the scalar versions). Must only be called when
-/// simd::active() == Level::kAvx2; the input form additionally needs
-/// tiles_w(geom) >= 8 and the output form out_w()/kTileOut >= 8, so at
-/// least one full register block fits per tile row.
+/// consecutive tiles of one tile row (defined in winograd_avx2.cpp;
+/// baseline builds of that TU forward to the scalar versions). Must
+/// only be called when simd::active() == Level::kAvx2. Rows of fewer
+/// than 8 tiles, and clipped edge tiles, run as masked register blocks.
 void transform_input_avx2(const float* image, const ConvGeometry& geom,
-                          float* v, std::size_t ld, std::size_t col_offset,
-                          int ty0, int ty1);
+                          int tile, float* v, std::size_t ld,
+                          std::size_t col_offset, int ty0, int ty1);
 void transform_output_avx2(const float* m, std::size_t ld,
                            std::size_t col_offset, const ConvGeometry& geom,
-                           int out_c, const float* bias, EpiAct act,
+                           int tile, int out_c, const float* bias, EpiAct act,
                            EpiMode mode, float* output, int ty0, int ty1);
 
 }  // namespace ocb::winograd::detail

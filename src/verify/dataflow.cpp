@@ -146,7 +146,7 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
                     "precision");
       }
       if (p.algo == nn::ConvAlgo::kWinograd) {
-        // F(2×2, 3×3): the transform matrices are derived for 3×3
+        // F(m×m, 3×3): the transform matrices are derived for 3×3
         // stride-1 kernels; anything else computes a different conv.
         if (nd.kernel != 3 || nd.stride != 1) {
           add_finding(report, CheckId::kShapeLegality, i,
@@ -159,6 +159,13 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
           add_finding(report, CheckId::kShapeLegality, i,
                       "Winograd planned under kInt8 — no quantized "
                       "transform exists");
+        }
+        // Transforms exist for 2×2 and 4×4 output tiles only.
+        if (p.wino_tile != 2 && p.wino_tile != 4) {
+          add_finding(report, CheckId::kShapeLegality, i,
+                      "Winograd planned with a " +
+                          std::to_string(p.wino_tile) +
+                          "-wide output tile (the kernels have 2 and 4)");
         }
       }
       if (p.algo == nn::ConvAlgo::kDirectGemm &&
@@ -230,10 +237,23 @@ void check_dataflow(const PlanSnapshot& snap, Report& report) {
           break;
       }
       if (nd.kind == nn::OpKind::kConv &&
-          p.algo == nn::ConvAlgo::kWinograd && !pr.winograd) {
-        add_finding(report, CheckId::kStorageTyping, i,
-                    "Winograd planned but the transformed weight panels "
-                    "were never packed");
+          p.algo == nn::ConvAlgo::kWinograd) {
+        // F(m×m, 3×3) multiplies (m+2)² transformed panels, one per
+        // input-tile element.
+        const std::size_t want =
+            static_cast<std::size_t>(p.wino_tile + 2) * (p.wino_tile + 2);
+        if (pr.winograd_panels == 0) {
+          add_finding(report, CheckId::kStorageTyping, i,
+                      "Winograd planned but the transformed weight panels "
+                      "were never packed");
+        } else if (pr.winograd_panels != want) {
+          add_finding(report, CheckId::kStorageTyping, i,
+                      std::to_string(pr.winograd_panels) +
+                          " Winograd panels packed, a " +
+                          std::to_string(p.wino_tile) + "×" +
+                          std::to_string(p.wino_tile) + " tile needs " +
+                          std::to_string(want));
+        }
       }
     }
 

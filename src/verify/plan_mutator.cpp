@@ -48,8 +48,8 @@ const PlanDefect* all_defects() noexcept {
       PlanDefect::kActivationReorder,    PlanDefect::kIncapableFold,
       PlanDefect::kAliasOverwrite,       PlanDefect::kDroppedDequant,
       PlanDefect::kStorageMismatch,      PlanDefect::kIllegalWinograd,
-      PlanDefect::kDeconvWinograd,       PlanDefect::kMissingChecksum,
-      PlanDefect::kCounterDrift,
+      PlanDefect::kDeconvWinograd,       PlanDefect::kWinogradTileMismatch,
+      PlanDefect::kMissingChecksum,      PlanDefect::kCounterDrift,
   };
   return kAll;
 }
@@ -69,6 +69,7 @@ const char* defect_name(PlanDefect defect) noexcept {
     case PlanDefect::kStorageMismatch: return "storage-mismatch";
     case PlanDefect::kIllegalWinograd: return "illegal-winograd";
     case PlanDefect::kDeconvWinograd: return "deconv-winograd";
+    case PlanDefect::kWinogradTileMismatch: return "winograd-tile-mismatch";
     case PlanDefect::kMissingChecksum: return "missing-checksum";
     case PlanDefect::kCounterDrift: return "counter-drift";
   }
@@ -90,6 +91,7 @@ CheckId expected_check(PlanDefect defect) noexcept {
     case PlanDefect::kStorageMismatch: return CheckId::kStorageTyping;
     case PlanDefect::kIllegalWinograd: return CheckId::kShapeLegality;
     case PlanDefect::kDeconvWinograd: return CheckId::kShapeLegality;
+    case PlanDefect::kWinogradTileMismatch: return CheckId::kStorageTyping;
     case PlanDefect::kMissingChecksum: return CheckId::kChecksumCoverage;
     case PlanDefect::kCounterDrift: return CheckId::kPlanCounters;
   }
@@ -341,6 +343,7 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
       nn::ConvPlan& p = snap.plan.nodes[static_cast<std::size_t>(i)];
       recount_algo(snap.plan, p.algo, nn::ConvAlgo::kWinograd);
       p.algo = nn::ConvAlgo::kWinograd;
+      p.wino_tile = 2;
       return true;
     }
 
@@ -357,6 +360,25 @@ bool plant_defect(PlanSnapshot& snap, PlanDefect defect,
       if (candidates.empty()) return false;
       snap.plan.nodes[static_cast<std::size_t>(pick_node(rng, candidates))]
           .algo = nn::ConvAlgo::kWinograd;
+      return true;
+    }
+
+    case PlanDefect::kWinogradTileMismatch: {
+      // The plan switches a Winograd node to the other (legal) tile
+      // while its panels stay packed for the old one: the driver would
+      // index (m+2)² panels that are not there.
+      if (snap.panels.empty()) return false;
+      std::vector<int> candidates;
+      for (int i = 0; i < n; ++i) {
+        const std::size_t ui = static_cast<std::size_t>(i);
+        if (snap.plan.nodes[ui].algo == nn::ConvAlgo::kWinograd &&
+            snap.panels[ui].winograd_panels > 0)
+          candidates.push_back(i);
+      }
+      if (candidates.empty()) return false;
+      nn::ConvPlan& p =
+          snap.plan.nodes[static_cast<std::size_t>(pick_node(rng, candidates))];
+      p.wino_tile = p.wino_tile == 2 ? 4 : 2;
       return true;
     }
 

@@ -33,11 +33,12 @@ enum class PlanDefect : std::uint8_t {
   kStorageMismatch,       ///< sparse storage planned, no sparse panels
   kIllegalWinograd,       ///< Winograd forced onto a non-3×3 conv
   kDeconvWinograd,        ///< Winograd forced onto a deconv
+  kWinogradTileMismatch,  ///< plan's Winograd tile disagrees with panels
   kMissingChecksum,       ///< live panel's CRC32 record erased
   kCounterDrift,          ///< summary counter bumped off its contents
 };
 
-inline constexpr int kDefectCount = 15;
+inline constexpr int kDefectCount = 16;
 
 /// All defects, in declaration order (for sweep-style tests/tools).
 const PlanDefect* all_defects() noexcept;

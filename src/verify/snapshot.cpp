@@ -22,7 +22,7 @@ PlanSnapshot snapshot(const nn::Engine& engine) {
     const nn::Engine::PanelState ps = engine.panel_state(i);
     snap.panels[ui] = PanelRecord{
         ps.dense,     ps.sparse,   ps.sparse_half, ps.half,
-        ps.winograd,  ps.dense_crc, ps.sparse_crc, ps.half_crc,
+        ps.winograd_panels, ps.dense_crc, ps.sparse_crc, ps.half_crc,
         ps.dense_rows, ps.dense_cols};
     // Quant state outlives a precision switch inside the engine (the
     // qlayers are retained for a cheap int8 re-prepare); it only

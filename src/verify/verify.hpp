@@ -93,7 +93,7 @@ struct PanelRecord {
   bool sparse = false;
   bool sparse_half = false;
   bool half = false;
-  bool winograd = false;
+  std::size_t winograd_panels = 0;  ///< transformed 3×3 panels packed
   std::uint32_t dense_crc = 0;
   std::uint32_t sparse_crc = 0;
   std::uint32_t half_crc = 0;

@@ -17,6 +17,7 @@
 #include "nn/engine.hpp"
 #include "nn/reference.hpp"
 #include "tensor/simd.hpp"
+#include "tensor/winograd.hpp"
 
 namespace ocb::nn {
 namespace {
@@ -313,7 +314,9 @@ TEST(Planner, CostModelDefaultsAndRoofline) {
   big.in_c *= 4;
   big.out_c *= 4;
   EXPECT_GT(est_im2col_ms(big, device), est_im2col_ms(small, device));
-  EXPECT_GT(est_winograd_ms(big, device), est_winograd_ms(small, device));
+  for (const int tile : winograd::kTiles)
+    EXPECT_GT(est_winograd_ms(big, device, tile),
+              est_winograd_ms(small, device, tile));
 }
 
 // --- compressed-storage candidates -----------------------------------------

@@ -203,6 +203,33 @@ TEST(Verify, EveryPlantedDefectIsCaughtByItsCheck) {
   }
 }
 
+TEST(Verify, WinogradTileMustBeLegalAndMatchItsPanels) {
+  const nn::Graph g = reference_graph();
+  nn::Engine engine(g, 5);
+  engine.prepare(plan_request());
+  const PlanSnapshot base = snapshot(engine);
+  int checked = 0;
+  for (int i = 0; i < g.node_count(); ++i) {
+    const std::size_t ui = static_cast<std::size_t>(i);
+    const nn::ConvPlan& p = base.plan.nodes[ui];
+    if (p.algo != nn::ConvAlgo::kWinograd) continue;
+    ++checked;
+    // The engine packs (m+2)² panels for the tile m the plan picked.
+    ASSERT_EQ(base.panels[ui].winograd_panels,
+              static_cast<std::size_t>((p.wino_tile + 2) * (p.wino_tile + 2)));
+    // The other legal tile disagrees with those panels.
+    PlanSnapshot other = base;
+    other.plan.nodes[ui].wino_tile = p.wino_tile == 2 ? 4 : 2;
+    EXPECT_GT(verify(other).count(CheckId::kStorageTyping), 0);
+    EXPECT_EQ(verify(other).count(CheckId::kShapeLegality), 0);
+    // A tile the kernels do not implement is a geometry error.
+    PlanSnapshot odd = base;
+    odd.plan.nodes[ui].wino_tile = 3;
+    EXPECT_GT(verify(odd).count(CheckId::kShapeLegality), 0);
+  }
+  EXPECT_GT(checked, 0) << "reference plan has no Winograd node";
+}
+
 TEST(Verify, InapplicableDefectLeavesSnapshotUntouched) {
   const nn::Graph g = reference_graph();
   nn::Engine engine(g, 5);
